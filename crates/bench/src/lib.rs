@@ -1,6 +1,5 @@
-//! Shared infrastructure for the `paper` experiment harness and the
-//! Criterion benchmarks: workload materialization, wall-clock timing, and
-//! plain-text table rendering.
+//! Shared infrastructure for the `paper` experiment harness: workload
+//! materialization, wall-clock timing, and plain-text table rendering.
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};

@@ -31,8 +31,9 @@
 //!   derives the worst-case `i32` score magnitude as a function of the
 //!   sequence span (`m + n`), emits a machine-readable certificate,
 //!   and checks that the alignment entry points (`align_opts`,
-//!   `align_resume`, `align_traced`) reach the runtime overflow guard
-//!   (`max_safe_span` / `validate_run`) on their call graph.
+//!   `align_resume`, `align_traced`, `align_affine`, `align_batch`)
+//!   reach the runtime overflow guard (`max_safe_span` /
+//!   `validate_run`) on their call graph.
 //!
 //! Name resolution is conservative (identifier-based): the graph
 //! over-approximates, so R8 reachability and R9 constructor closures
@@ -63,7 +64,13 @@ const WAVEFRONT_ENTRIES: &[&str] = &["run_wavefront", "run_wavefront_traced"];
 const WAVEFRONT_FILE: &str = "crates/wavefront/src/executor.rs";
 
 /// Alignment entry points that must reach the overflow guard (R10).
-const OVERFLOW_GUARDED_ENTRIES: &[&str] = &["align_opts", "align_resume", "align_traced"];
+const OVERFLOW_GUARDED_ENTRIES: &[&str] = &[
+    "align_opts",
+    "align_resume",
+    "align_traced",
+    "align_affine",
+    "align_batch",
+];
 
 /// Fns recognized as the runtime overflow guard (R10).
 const OVERFLOW_GUARDS: &[&str] = &["max_safe_span", "validate_run"];
@@ -875,6 +882,21 @@ pub(crate) unsafe fn fast(x: &mut [i32]) { x.fill(1); }
         let r = audit(&files);
         assert!(rules(&r).contains(&"R10-overflow-cert"), "{:?}", r.findings);
         assert_eq!(r.certificate.sub_abs_max, 100_000_000);
+    }
+
+    #[test]
+    fn r10_covers_the_affine_and_batch_entry_points() {
+        let files = [(
+            "crates/core/src/lib.rs",
+            "pub fn align_affine(m: usize) -> i32 { m as i32 }\n\
+             pub fn align_batch(m: usize) -> usize { max_safe_span(m) }\n\
+             fn max_safe_span(m: usize) -> usize { m }\n",
+        )];
+        let r = audit(&files);
+        assert!(rules(&r).contains(&"R10-overflow-cert"), "{:?}", r.findings);
+        let guards = &r.certificate.guards;
+        assert!(guards.contains(&("align_affine".to_string(), false)));
+        assert!(guards.contains(&("align_batch".to_string(), true)));
     }
 
     #[test]

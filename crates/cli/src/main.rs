@@ -52,8 +52,10 @@ ALIGN OPTIONS:
     --matrix NAME      dna (default) | blosum62 | pam250 | identity | paper
     --matrix-file F    load an NCBI-format matrix file instead
     --gap N            linear gap penalty (default -10)
-    --gap-open N       affine gap open (gotoh/mm-affine; default -10)
-    --gap-extend N     affine gap extend (gotoh/mm-affine; default -2)
+    --gap-open N       affine gap open (gotoh/mm-affine/fastlsa-affine;
+                       default -10)
+    --gap-extend N     affine gap extend (gotoh/mm-affine/fastlsa-affine;
+                       default -2)
     --band W           band half-width for --algo banded (default 32)
     -k, --k N          FastLSA grid division factor (default 8)
     --base-cells N     FastLSA base-case buffer, DPM entries (default 1Mi)
@@ -586,7 +588,12 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
 
     let outcome = (|| -> Result<(i64, Option<flsa_dp::Path>), CliError> {
         Ok(match algo {
-            "fastlsa" => {
+            "fastlsa" | "fastlsa-affine" => {
+                let run_scheme = if algo == "fastlsa" {
+                    scheme.clone()
+                } else {
+                    affine_scheme(a, &scheme)?
+                };
                 let shards: usize = a.get_or("shards", 0).map_err(CliError::usage)?;
                 if shards > 0 {
                     return run_sharded(
@@ -668,7 +675,7 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
                     registry: registry.clone(),
                     ..AlignOptions::default()
                 };
-                let r = fastlsa_core::align_opts(&sa, &sb, &scheme, cfg, &opts, &metrics)?;
+                let r = fastlsa_core::align_opts(&sa, &sb, &run_scheme, cfg, &opts, &metrics)?;
                 // The job finished: the snapshot has served its purpose.
                 if let Some(ckpt_path) = a.options.get("checkpoint") {
                     cleanup_checkpoint(ckpt_path);
@@ -713,25 +720,13 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
                 let r = flsa_fullmatrix::banded_needleman_wunsch(&sa, &sb, &scheme, w, &metrics);
                 (r.score, Some(r.path))
             }
-            "gotoh" | "mm-affine" | "fastlsa-affine" => {
-                let open: i32 = a.get_or("gap-open", -10).map_err(CliError::usage)?;
-                let extend: i32 = a.get_or("gap-extend", -2).map_err(CliError::usage)?;
-                let affine =
-                    ScoringScheme::new(scheme.matrix().clone(), GapModel::affine(open, extend));
-                let r = match algo {
-                    "gotoh" => flsa_fullmatrix::gotoh(&sa, &sb, &affine, &metrics),
-                    "mm-affine" => {
-                        flsa_hirschberg::myers_miller_affine(&sa, &sb, &affine, &metrics)
-                    }
-                    _ => {
-                        let cfg = FastLsaConfig::new(
-                            a.get_or("k", 8).map_err(CliError::usage)?,
-                            a.get_or("base-cells", 1usize << 20)
-                                .map_err(CliError::usage)?,
-                        );
-                        fastlsa_core::align_affine(&sa, &sb, &affine, cfg, &metrics)?
-                    }
-                };
+            "gotoh" => {
+                let r = flsa_fullmatrix::gotoh(&sa, &sb, &affine_scheme(a, &scheme)?, &metrics);
+                (r.score, Some(r.path))
+            }
+            "mm-affine" => {
+                let affine = affine_scheme(a, &scheme)?;
+                let r = flsa_hirschberg::myers_miller_affine(&sa, &sb, &affine, &metrics);
                 (r.score, Some(r.path))
             }
             "fit" => {
@@ -787,6 +782,19 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
         threads,
         trace_format,
     )
+}
+
+/// `scheme`'s matrix with the `--gap-open`/`--gap-extend` affine gaps.
+fn affine_scheme(a: &args::Args, scheme: &ScoringScheme) -> Result<ScoringScheme, CliError> {
+    let open: i32 = a.get_or("gap-open", -10).map_err(CliError::usage)?;
+    let extend: i32 = a.get_or("gap-extend", -2).map_err(CliError::usage)?;
+    if open > 0 || extend > 0 {
+        return Err(CliError::usage("--gap-open and --gap-extend must be <= 0"));
+    }
+    Ok(ScoringScheme::new(
+        scheme.matrix().clone(),
+        GapModel::affine(open, extend),
+    ))
 }
 
 /// The `--shards` path of `flsa align --algo fastlsa`: a coordinator in

@@ -180,6 +180,71 @@ fn affine_algorithms_agree_with_each_other() {
 }
 
 #[test]
+fn fastlsa_affine_takes_the_shared_engine_options() {
+    let fa = tmp("affine-opts.fa");
+    let metrics = tmp("affine-opts-metrics.json");
+    let trace = tmp("affine-opts-trace.json");
+    let out = flsa(&[
+        "gen",
+        "--len",
+        "300",
+        "--seed",
+        "4",
+        "-o",
+        fa.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let gotoh = score_line(&stdout(&flsa(&[
+        "align",
+        "--algo",
+        "gotoh",
+        "--quiet",
+        fa.to_str().unwrap(),
+    ])));
+
+    // --metrics and --trace now reach the affine run.
+    let out = flsa(&[
+        "align",
+        "--algo",
+        "fastlsa-affine",
+        "-k",
+        "4",
+        "--base-cells",
+        "4096",
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+        "--quiet",
+        fa.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(score_line(&stdout(&out)), gotoh);
+    let exported = std::fs::read_to_string(&metrics).expect("metrics export written");
+    assert!(exported.contains("flsa_blocks_filled_total"), "{exported}");
+    let traced = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(traced.contains("BaseCase"), "trace has no base-case span");
+
+    // --threads is refused with a typed configuration error, not ignored.
+    let out = flsa(&[
+        "align",
+        "--algo",
+        "fastlsa-affine",
+        "--threads",
+        "2",
+        fa.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unsupported gap model"),
+        "{out:?}"
+    );
+    for f in [fa, metrics, trace] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+#[test]
 fn local_and_semiglobal_modes_run() {
     let fa = tmp("modes.fa");
     std::fs::write(&fa, ">a\nGATTACA\n>b\nCCCCGATTACACCCC\n").unwrap();

@@ -1,268 +1,41 @@
 //! Affine-gap FastLSA (extension; see DESIGN.md §6).
 //!
-//! The paper defines FastLSA for linear gap penalties. The same
-//! grid-cache recursion carries over to the affine model once two things
-//! change:
+//! The paper defines FastLSA for linear gap penalties. The same drive
+//! loop runs affine gaps (`crate::solver`) once two things change:
 //!
 //! 1. **Richer grid lines.** A horizontal grid line caches `H` *and* `F`
 //!    (vertical gap runs cross it); a vertical line caches `H` and `E`.
 //!    Cache storage doubles — still `O(k·(m+n))`.
 //! 2. **Stateful path head.** The traceback may leave a sub-problem in
 //!    the middle of a gap run; the head therefore carries a
-//!    [`GapState`], and the next sub-problem's traceback resumes in that
-//!    layer (the run's open cost is charged exactly once because the
-//!    boundary `F`/`E` values already include it).
+//!    [`GapState`](flsa_dp::affine::GapState), and the next sub-problem's
+//!    traceback resumes in that layer (the run's open cost is charged
+//!    exactly once because the boundary `F`/`E` values already include
+//!    it).
 //!
-//! The extension is sequential (the paper's evaluation does not cover
-//! affine gaps; any [`FastLsaConfig::parallel`] setting is ignored) and
-//! is validated against Gotoh and Myers–Miller oracles.
+//! Parallel fills and checkpoints store one layer per grid line, so
+//! [`crate::align_opts`] refuses them for affine schemes with
+//! [`ConfigError::UnsupportedGapModel`]. The extension is validated
+//! against Gotoh and Myers–Miller oracles.
 
-use flsa_dp::affine::{
-    fill_affine_edges_in, fill_affine_full, AffineBoundary, AffineGlobalBoundary, GapState, NEG,
-};
-use flsa_dp::{AlignResult, KernelArena, Metrics, Move, PathBuilder};
-use flsa_scoring::ScoringScheme;
+use flsa_dp::{AlignResult, Metrics};
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 
 use crate::config::FastLsaConfig;
 use crate::error::{AlignError, ConfigError};
-use crate::grid::{partition, segment_of};
 
-/// One recursion level's affine grid cache: `H`+`F` along internal rows,
-/// `H`+`E` along internal columns.
-struct AffineGrid {
-    row_bounds: Vec<usize>,
-    col_bounds: Vec<usize>,
-    rows_h: Vec<Vec<i32>>,
-    rows_v: Vec<Vec<i32>>,
-    cols_h: Vec<Vec<i32>>,
-    cols_e: Vec<Vec<i32>>,
-}
-
-impl AffineGrid {
-    fn new(rows: usize, cols: usize, k_r: usize, k_c: usize) -> Self {
-        AffineGrid {
-            row_bounds: partition(rows, k_r),
-            col_bounds: partition(cols, k_c),
-            rows_h: vec![vec![0; cols + 1]; k_r - 1],
-            rows_v: vec![vec![NEG; cols + 1]; k_r - 1],
-            cols_h: vec![vec![0; rows + 1]; k_c - 1],
-            cols_e: vec![vec![NEG; rows + 1]; k_c - 1],
-        }
-    }
-
-    fn entries(&self) -> usize {
-        2 * (self.rows_h.iter().map(Vec::len).sum::<usize>()
-            + self.cols_h.iter().map(Vec::len).sum::<usize>())
-    }
-}
-
-struct AffineSolver<'s> {
-    scheme: &'s ScoringScheme,
-    config: FastLsaConfig,
-    metrics: &'s Metrics,
-    /// Scratch pool for grid-fill boundary and edge buffers: every block
-    /// after the first reuses the same handful of vectors instead of
-    /// allocating eight per block.
-    arena: KernelArena,
-}
-
-impl AffineSolver<'_> {
-    /// Extends the path through one rectangle; `head` is on the bottom
-    /// row or right column carrying `state`; returns the exit point on
-    /// the top row or left column with its state.
-    fn solve(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        bnd: AffineBoundary<'_>,
-        head: (usize, usize),
-        state: GapState,
-        out: &mut PathBuilder,
-    ) -> ((usize, usize), GapState) {
-        let (rows, cols) = (a.len(), b.len());
-        debug_assert!(head.0 == rows || head.1 == cols);
-        // Already on the exit boundary (unless mid-run pointing across it).
-        let done = match state {
-            GapState::H => head.0 == 0 || head.1 == 0,
-            GapState::F => head.0 == 0,
-            GapState::E => head.1 == 0,
-        };
-        if done {
-            return (head, state);
-        }
-
-        let cells = (rows + 1).saturating_mul(cols + 1);
-        if cells <= self.config.base_cells || rows < 2 || cols < 2 {
-            // BASE CASE: three full layers plus stateful traceback.
-            let mats = fill_affine_full(a, b, bnd, self.scheme, self.metrics);
-            let _mem = self.metrics.track_alloc(3 * mats.h.bytes());
-            self.metrics.add_base_case_cells(rows as u64 * cols as u64);
-            return flsa_dp::affine::trace_affine(
-                &mats,
-                a,
-                b,
-                self.scheme,
-                head,
-                state,
-                out,
-                self.metrics,
-            );
-        }
-
-        // GENERAL CASE.
-        let k_r = self.config.k.min(rows);
-        let k_c = self.config.k.min(cols);
-        let mut grid = AffineGrid::new(rows, cols, k_r, k_c);
-        let _mem = self
-            .metrics
-            .track_alloc(grid.entries() * std::mem::size_of::<i32>());
-        self.fill_grid(a, b, bnd, &mut grid);
-
-        let (mut i, mut j) = head;
-        let mut state = state;
-        loop {
-            let done = match state {
-                GapState::H => i == 0 || j == 0,
-                GapState::F => i == 0,
-                GapState::E => j == 0,
-            };
-            if done {
-                break;
-            }
-            let s = segment_of(&grid.row_bounds, i.max(1));
-            let t = segment_of(&grid.col_bounds, j.max(1));
-            let r0 = grid.row_bounds[s];
-            let r1 = grid.row_bounds[s + 1];
-            let c0 = grid.col_bounds[t];
-            let c1 = grid.col_bounds[t + 1];
-            let sub_bnd = AffineBoundary {
-                top_h: if s == 0 {
-                    &bnd.top_h[c0..=c1]
-                } else {
-                    &grid.rows_h[s - 1][c0..=c1]
-                },
-                top_v: if s == 0 {
-                    &bnd.top_v[c0..=c1]
-                } else {
-                    &grid.rows_v[s - 1][c0..=c1]
-                },
-                left_h: if t == 0 {
-                    &bnd.left_h[r0..=r1]
-                } else {
-                    &grid.cols_h[t - 1][r0..=r1]
-                },
-                left_e: if t == 0 {
-                    &bnd.left_e[r0..=r1]
-                } else {
-                    &grid.cols_e[t - 1][r0..=r1]
-                },
-            };
-            let ((ei, ej), st) = self.solve(
-                &a[r0..r1],
-                &b[c0..c1],
-                sub_bnd,
-                (i - r0, j - c0),
-                state,
-                out,
-            );
-            i = r0 + ei;
-            j = c0 + ej;
-            state = st;
-        }
-        ((i, j), state)
-    }
-
-    /// Sequential fillGridCache with affine edges; every block except the
-    /// bottom-right, row-major.
-    fn fill_grid(&mut self, a: &[u8], b: &[u8], bnd: AffineBoundary<'_>, grid: &mut AffineGrid) {
-        let k_r = grid.row_bounds.len() - 1;
-        let k_c = grid.col_bounds.len() - 1;
-        for s in 0..k_r {
-            for t in 0..k_c {
-                if s == k_r - 1 && t == k_c - 1 {
-                    continue;
-                }
-                let r0 = grid.row_bounds[s];
-                let r1 = grid.row_bounds[s + 1];
-                let c0 = grid.col_bounds[t];
-                let c1 = grid.col_bounds[t + 1];
-                // Copy inputs first (the outputs may alias other rows of
-                // the same cache vectors). Buffers come from the arena so
-                // steady-state grid fills allocate nothing.
-                let mut top_h = self.arena.take(c1 - c0 + 1);
-                top_h.copy_from_slice(if s == 0 {
-                    &bnd.top_h[c0..=c1]
-                } else {
-                    &grid.rows_h[s - 1][c0..=c1]
-                });
-                let mut top_v = self.arena.take(c1 - c0 + 1);
-                top_v.copy_from_slice(if s == 0 {
-                    &bnd.top_v[c0..=c1]
-                } else {
-                    &grid.rows_v[s - 1][c0..=c1]
-                });
-                let mut left_h = self.arena.take(r1 - r0 + 1);
-                left_h.copy_from_slice(if t == 0 {
-                    &bnd.left_h[r0..=r1]
-                } else {
-                    &grid.cols_h[t - 1][r0..=r1]
-                });
-                let mut left_e = self.arena.take(r1 - r0 + 1);
-                left_e.copy_from_slice(if t == 0 {
-                    &bnd.left_e[r0..=r1]
-                } else {
-                    &grid.cols_e[t - 1][r0..=r1]
-                });
-                let edges = fill_affine_edges_in(
-                    &a[r0..r1],
-                    &b[c0..c1],
-                    AffineBoundary {
-                        top_h: &top_h,
-                        top_v: &top_v,
-                        left_h: &left_h,
-                        left_e: &left_e,
-                    },
-                    self.scheme,
-                    &self.arena,
-                    self.metrics,
-                );
-                self.arena.put(top_h);
-                self.arena.put(top_v);
-                self.arena.put(left_h);
-                self.arena.put(left_e);
-                if s + 1 < k_r {
-                    grid.rows_h[s][c0..=c1].copy_from_slice(&edges.bottom_h);
-                    // bottom_v[0] is a placeholder (the kernel never
-                    // updates the V entry of its own left edge); the true
-                    // corner value is the *left* neighbour's bottom_v
-                    // last element, already in place. Skip index 0 so it
-                    // is not clobbered.
-                    grid.rows_v[s][c0 + 1..=c1].copy_from_slice(&edges.bottom_v[1..]);
-                }
-                if t + 1 < k_c {
-                    grid.cols_h[t][r0..=r1].copy_from_slice(&edges.right_h);
-                    // right_e[0] is a placeholder; keep the true value
-                    // already present from the block above (or NEG at the
-                    // very top, where no cell reads it).
-                    grid.cols_e[t][r0 + 1..=r1].copy_from_slice(&edges.right_e[1..]);
-                }
-                edges.recycle(&self.arena);
-            }
-        }
-    }
-}
-
-/// Affine-gap global alignment with the FastLSA recursion (sequential).
+/// Affine-gap global alignment with the FastLSA recursion: exactly
+/// [`crate::align_with`], after checking that the scheme is affine.
 ///
 /// Produces the same optimal score as [`flsa_fullmatrix::gotoh()`] in
 /// FastLSA's adaptive memory footprint.
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError::GapModelNotAffine`] (wrapped in
+/// Returns [`ConfigError::UnsupportedGapModel`] (wrapped in
 /// [`AlignError::Config`]) when `scheme.gap()` is not affine, and the
-/// usual configuration/alphabet errors of the linear entry points.
+/// errors of [`crate::align_with`] otherwise.
 ///
 /// # Examples
 ///
@@ -288,57 +61,21 @@ pub fn align_affine(
     config: FastLsaConfig,
     metrics: &Metrics,
 ) -> Result<AlignResult, AlignError> {
-    config.validate()?;
-    if !matches!(*scheme.gap(), flsa_scoring::GapModel::Affine { .. }) {
-        return Err(ConfigError::GapModelNotAffine.into());
-    }
-    for s in [a, b] {
-        if s.alphabet() != scheme.alphabet() {
-            return Err(AlignError::AlphabetMismatch {
-                expected: scheme.alphabet().name().to_string(),
-                found: s.alphabet().name().to_string(),
-            });
+    if !matches!(scheme.gap(), GapModel::Affine { .. }) {
+        return Err(ConfigError::UnsupportedGapModel {
+            entry: "align_affine",
         }
+        .into());
     }
-    let (open, extend) = flsa_dp::affine::affine_params(scheme);
-    let (m, n) = (a.len(), b.len());
-    let bnd = AffineGlobalBoundary::new(m, n, open, extend);
-    let base_guard = metrics.track_alloc(3 * config.base_cells * std::mem::size_of::<i32>());
-
-    let mut solver = AffineSolver {
-        scheme,
-        config,
-        metrics,
-        arena: KernelArena::new(),
-    };
-    let mut builder = PathBuilder::new();
-    let ((ei, ej), _state) = solver.solve(
-        a.codes(),
-        b.codes(),
-        bnd.view(),
-        (m, n),
-        GapState::H,
-        &mut builder,
-    );
-    for _ in 0..ei {
-        builder.push_back(Move::Up);
-    }
-    for _ in 0..ej {
-        builder.push_back(Move::Left);
-    }
-    drop(base_guard);
-
-    let path = builder.finish((0, 0));
-    debug_assert!(path.is_global(m, n));
-    let score = flsa_fullmatrix::gotoh::score_path_affine(&path, a, b, scheme);
-    Ok(AlignResult { score, path })
+    crate::align_with(a, b, scheme, config, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flsa_dp::Move;
     use flsa_fullmatrix::gotoh::gotoh;
-    use flsa_scoring::{tables, GapModel};
+    use flsa_scoring::tables;
     use flsa_seq::generate::{homologous_pair, random_sequence};
     use flsa_seq::Alphabet;
 
@@ -473,7 +210,9 @@ mod tests {
         let err = align_affine(&a, &a, &scheme, FastLsaConfig::default(), &metrics).unwrap_err();
         assert_eq!(
             err,
-            AlignError::Config(ConfigError::GapModelNotAffine),
+            AlignError::Config(ConfigError::UnsupportedGapModel {
+                entry: "align_affine"
+            }),
             "linear gap model must be rejected as a config error"
         );
     }

@@ -20,9 +20,14 @@ pub enum ConfigError {
     ZeroThreads,
     /// A parallel config must subdivide each block into at least one tile.
     ZeroTiles,
-    /// [`crate::align_affine`] requires [`flsa_scoring::GapModel::Affine`]
-    /// (use the linear entry points for linear gaps).
-    GapModelNotAffine,
+    /// The scheme's gap model is not supported by `entry`:
+    /// [`crate::align_affine`] needs an affine model, while
+    /// [`crate::align_batch`], [`crate::align_resume`], parallel fills and
+    /// checkpointing support linear gaps only.
+    UnsupportedGapModel {
+        /// The entry point or option that refused the gap model.
+        entry: &'static str,
+    },
     /// The combined sequence span `m + n` is large enough that the DP
     /// recurrence could overflow `i32` cell scores under this scoring
     /// scheme (see [`crate::max_safe_span`] and the audit's R10
@@ -47,8 +52,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::KTooSmall { k } => write!(f, "k must be >= 2 (k = {k})"),
             ConfigError::ZeroThreads => write!(f, "threads must be >= 1"),
             ConfigError::ZeroTiles => write!(f, "tiles_per_block must be >= 1"),
-            ConfigError::GapModelNotAffine => {
-                write!(f, "align_affine requires GapModel::Affine")
+            ConfigError::UnsupportedGapModel { entry } => {
+                write!(f, "unsupported gap model for {entry}")
             }
             ConfigError::ScoreOverflow { span, max_span } => write!(
                 f,

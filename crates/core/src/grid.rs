@@ -23,6 +23,10 @@ pub fn segment_of(bounds: &[usize], i: usize) -> usize {
 }
 
 /// One recursion level's grid cache.
+///
+/// Each cached line holds `layers` i32 layers back to back, one per value
+/// the gap model's frontier carries (DESIGN.md §6): `H` alone for linear
+/// gaps; `H` then `F` on rows and `H` then `E` on columns for affine gaps.
 #[derive(Debug)]
 pub struct Grid {
     /// Row cut points, length `k_r + 1` (`[0, …, rows]`).
@@ -30,10 +34,10 @@ pub struct Grid {
     /// Column cut points, length `k_c + 1`.
     pub col_bounds: Vec<usize>,
     /// `rows_cache[s]` holds the DP values along grid row
-    /// `row_bounds[s+1]`, full width (`cols + 1`); `s < k_r − 1`.
+    /// `row_bounds[s+1]`, full width (`layers · (cols + 1)`); `s < k_r − 1`.
     pub rows_cache: Vec<Vec<i32>>,
     /// `cols_cache[t]` holds the DP values along grid column
-    /// `col_bounds[t+1]`, full height (`rows + 1`); `t < k_c − 1`.
+    /// `col_bounds[t+1]`, full height (`layers · (rows + 1)`); `t < k_c − 1`.
     pub cols_cache: Vec<Vec<i32>>,
 }
 
@@ -41,8 +45,8 @@ impl Grid {
     /// Allocates the grid for an `rows × cols` rectangle split into
     /// `k_r × k_c` blocks, with unbounded (but still `try_reserve`-based)
     /// allocation.
-    pub fn new(rows: usize, cols: usize, k_r: usize, k_c: usize) -> Self {
-        match Grid::try_new(rows, cols, k_r, k_c, &MemoryGovernor::new(None)) {
+    pub fn new(rows: usize, cols: usize, k_r: usize, k_c: usize, layers: usize) -> Self {
+        match Grid::try_new(rows, cols, k_r, k_c, layers, &MemoryGovernor::new(None)) {
             Ok(g) => g,
             // flsa-check: allow(panic) — only reachable on allocator
             // exhaustion with no budget, where Vec::new would abort anyway.
@@ -60,6 +64,7 @@ impl Grid {
         cols: usize,
         k_r: usize,
         k_c: usize,
+        layers: usize,
         governor: &MemoryGovernor,
     ) -> Result<Self, AlignError> {
         debug_assert!(k_r >= 2 && k_c >= 2);
@@ -72,7 +77,7 @@ impl Grid {
             }
         };
         for _ in 0..k_r - 1 {
-            match governor.try_alloc_i32(cols + 1, "grid row cache") {
+            match governor.try_alloc_i32(layers * (cols + 1), "grid row cache") {
                 Ok(v) => rows_cache.push(v),
                 Err(e) => {
                     undo(&rows_cache, &cols_cache);
@@ -81,7 +86,7 @@ impl Grid {
             }
         }
         for _ in 0..k_c - 1 {
-            match governor.try_alloc_i32(rows + 1, "grid column cache") {
+            match governor.try_alloc_i32(layers * (rows + 1), "grid column cache") {
                 Ok(v) => cols_cache.push(v),
                 Err(e) => {
                     undo(&rows_cache, &cols_cache);
@@ -131,27 +136,41 @@ impl Grid {
             + self.cols_cache.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// The `cacheRow` of block `(s, t)`: DP values along the block's top
-    /// edge. For `s == 0` the caller must use the rectangle's input top
+    /// Grid row `row_bounds[s]`, the top edge of block row `s`, all
+    /// layers. For `s == 0` the caller must use the rectangle's input top
     /// boundary instead (the grid does not store it), hence the `Option`.
-    pub fn cached_row(&self, s: usize, t: usize) -> Option<&[i32]> {
-        if s == 0 {
-            return None;
-        }
-        let c0 = self.col_bounds[t];
-        let c1 = self.col_bounds[t + 1];
-        Some(&self.rows_cache[s - 1][c0..=c1])
+    pub fn row_line(&self, s: usize) -> Option<&[i32]> {
+        s.checked_sub(1).map(|i| self.rows_cache[i].as_slice())
     }
 
-    /// The `cacheColumn` of block `(s, t)`; `None` for `t == 0` (use the
-    /// input left boundary).
-    pub fn cached_col(&self, s: usize, t: usize) -> Option<&[i32]> {
-        if t == 0 {
-            return None;
-        }
-        let r0 = self.row_bounds[s];
-        let r1 = self.row_bounds[s + 1];
-        Some(&self.cols_cache[t - 1][r0..=r1])
+    /// Grid column `col_bounds[t]`, the left edge of block column `t`;
+    /// `None` for `t == 0` (use the input left boundary).
+    pub fn col_line(&self, t: usize) -> Option<&[i32]> {
+        t.checked_sub(1).map(|i| self.cols_cache[i].as_slice())
+    }
+}
+
+/// Entries `lo..=hi` of every layer of a layered line (layers of
+/// `line.len() / layers` entries, back to back): the boundary of the
+/// block spanning `lo..hi`.
+pub fn sub_line(line: &[i32], layers: usize, lo: usize, hi: usize) -> Vec<i32> {
+    let mut out = Vec::with_capacity(layers * (hi - lo + 1));
+    for layer in line.chunks_exact(line.len() / layers) {
+        out.extend_from_slice(&layer[lo..=hi]);
+    }
+    out
+}
+
+/// Writes a block's layered output edge into the layered grid `line`
+/// from entry `at` on. Gap-state layers (all but the first) skip the
+/// edge's first entry: the affine edge fill leaves it a placeholder, and
+/// the true value, the neighbouring block's last entry, is in place.
+pub fn store_edge(line: &mut [i32], edge: &[i32], layers: usize, at: usize) {
+    let len = edge.len() / layers;
+    let dst = line.chunks_exact_mut(line.len() / layers);
+    for (l, (dst, src)) in dst.zip(edge.chunks_exact(len)).enumerate() {
+        let skip = usize::from(l > 0);
+        dst[at + skip..at + len].copy_from_slice(&src[skip..]);
     }
 }
 
@@ -187,7 +206,7 @@ mod tests {
     #[test]
     fn grid_storage_shape_matches_theorem_3() {
         // (k-1) rows of (cols+1) plus (k-1) cols of (rows+1).
-        let g = Grid::new(100, 80, 4, 4);
+        let g = Grid::new(100, 80, 4, 4, 1);
         assert_eq!(g.cache_entries(), 3 * 81 + 3 * 101);
         assert_eq!(g.k_r(), 4);
         assert_eq!(g.k_c(), 4);
@@ -197,25 +216,44 @@ mod tests {
     fn try_new_respects_the_budget_and_rolls_back() {
         // 3 rows of 81 + 3 cols of 101 entries = 546 entries > 500.
         let g = MemoryGovernor::new(Some(500 * 4));
-        let err = Grid::try_new(100, 80, 4, 4, &g).unwrap_err();
+        let err = Grid::try_new(100, 80, 4, 4, 1, &g).unwrap_err();
         assert!(matches!(err, AlignError::AllocFailed { .. }));
         // Partial allocations were released.
         assert_eq!(g.used_bytes(), 0);
         // A roomier budget succeeds and stays charged while alive.
         let g = MemoryGovernor::new(Some(600 * 4));
-        let grid = Grid::try_new(100, 80, 4, 4, &g).unwrap();
+        let grid = Grid::try_new(100, 80, 4, 4, 1, &g).unwrap();
         assert_eq!(g.used_bytes(), grid.cache_entries() * 4);
     }
 
     #[test]
-    fn cached_row_col_slices_cover_block_edges() {
-        let g = Grid::new(12, 8, 3, 2);
+    fn grid_lines_cover_block_edges() {
+        let g = Grid::new(12, 8, 3, 2, 1);
         // Block (1, 1): rows 4..8, cols 4..8.
-        let r = g.cached_row(1, 1).unwrap();
-        assert_eq!(r.len(), 8 - 4 + 1);
-        let c = g.cached_col(1, 1).unwrap();
-        assert_eq!(c.len(), 8 - 4 + 1);
-        assert!(g.cached_row(0, 1).is_none());
-        assert!(g.cached_col(1, 0).is_none());
+        assert_eq!(sub_line(g.row_line(1).unwrap(), 1, 4, 8).len(), 8 - 4 + 1);
+        assert_eq!(sub_line(g.col_line(1).unwrap(), 1, 4, 8).len(), 8 - 4 + 1);
+        assert!(g.row_line(0).is_none());
+        assert!(g.col_line(0).is_none());
+    }
+
+    #[test]
+    fn layered_lines_scale_storage_and_keep_the_placeholder_out() {
+        // Two layers double every cache line.
+        let mut g = Grid::new(100, 80, 4, 4, 2);
+        assert_eq!(g.cache_entries(), 2 * (3 * 81 + 3 * 101));
+        // Block edge over columns 20..=40 of the first grid row: H
+        // 100..=120, gap state 200..=220 with a placeholder first entry.
+        let edge: Vec<i32> = (100..=120)
+            .chain(std::iter::once(-1))
+            .chain(201..=220)
+            .collect();
+        g.rows_cache[0][81 + 20] = 7; // left neighbour's last gap-state entry
+        store_edge(&mut g.rows_cache[0], &edge, 2, 20);
+        let back = sub_line(g.row_line(1).unwrap(), 2, 20, 40);
+        let want: Vec<i32> = (100..=120)
+            .chain(std::iter::once(7))
+            .chain(201..=220)
+            .collect();
+        assert_eq!(back, want);
     }
 }

@@ -73,7 +73,7 @@ pub use model::{replay, replay_with_comm, ReplayReport};
 pub use flsa_dp::{BatchKernel, KernelArena, KernelBackend};
 
 use flsa_dp::{AlignResult, BatchJob, Kernel, Metrics};
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 use flsa_trace::{DegradeReason, EventKind};
 
@@ -110,6 +110,10 @@ pub fn align_with(
 /// is recorded as an [`EventKind::Degrade`] trace event when a recorder
 /// is attached. Other errors — and failures at the bottom of the ladder
 /// — are returned to the caller.
+///
+/// Linear and affine gap models run on the same drive loop. An affine
+/// scheme together with `threads > 1` or a checkpoint policy is refused
+/// with [`ConfigError::UnsupportedGapModel`].
 pub fn align_opts(
     a: &Sequence,
     b: &Sequence,
@@ -120,11 +124,60 @@ pub fn align_opts(
 ) -> Result<AlignResult, AlignError> {
     config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
+    validate_gap_model(scheme, &config, opts)?;
+    with_degradation(config, opts, metrics, |cfg| {
+        solver::Solver::new(scheme, cfg, metrics, opts).run(a, b)
+    })
+}
+
+/// Continues an interrupted run from a [`CheckpointState`] snapshot.
+///
+/// The snapshot is validated structurally against the input dimensions
+/// (digest/CRC validation happens in the serialization layer before the
+/// state ever reaches this function); any inconsistency is returned as
+/// [`AlignError::CorruptCheckpoint`] — never a wrong alignment. The run
+/// restarts under the snapshot's own configuration (which may already be
+/// a degraded rung) and keeps degrading from there on further faults:
+/// frames are self-describing, so a retry with a smaller `base_cells` or
+/// `k` reuses every already-filled grid cache and only shapes *future*
+/// frames differently. Snapshots hold linear-gap frontiers only, so an
+/// affine scheme is refused with [`ConfigError::UnsupportedGapModel`].
+pub fn align_resume(
+    a: &Sequence,
+    b: &Sequence,
+    scheme: &ScoringScheme,
+    state: CheckpointState,
+    opts: &AlignOptions,
+    metrics: &Metrics,
+) -> Result<AlignResult, AlignError> {
+    if let GapModel::Affine { .. } = scheme.gap() {
+        return Err(ConfigError::UnsupportedGapModel {
+            entry: "align_resume",
+        }
+        .into());
+    }
+    state.config.validate_run(scheme, a.len(), b.len())?;
+    validate_kernel(opts)?;
+    with_degradation(state.config, opts, metrics, |cfg| {
+        solver::Solver::new(scheme, cfg, metrics, opts).resume(a, b, state.clone())
+    })
+}
+
+/// The degradation ladder shared by [`align_opts`] and [`align_resume`]:
+/// runs `attempt` under `config` and, on [`AlignError::AllocFailed`],
+/// retries with the next rung (or, on [`AlignError::WorkerPanic`],
+/// without parallelism). Each retry bumps the registry counter, records
+/// an [`EventKind::Degrade`] trace event and tells the checkpoint sink.
+fn with_degradation(
+    config: FastLsaConfig,
+    opts: &AlignOptions,
+    metrics: &Metrics,
+    mut attempt: impl FnMut(FastLsaConfig) -> Result<AlignResult, AlignError>,
+) -> Result<AlignResult, AlignError> {
     let mut cfg = config;
     let mut rung: u32 = 0;
     loop {
-        let mut solver = solver::Solver::new(scheme, cfg, metrics, opts);
-        let err = match solver.run(a, b) {
+        let err = match attempt(cfg) {
             Ok(r) => return Ok(r),
             Err(e) => e,
         };
@@ -168,74 +221,6 @@ pub fn align_opts(
     }
 }
 
-/// Continues an interrupted run from a [`CheckpointState`] snapshot.
-///
-/// The snapshot is validated structurally against the input dimensions
-/// (digest/CRC validation happens in the serialization layer before the
-/// state ever reaches this function); any inconsistency is returned as
-/// [`AlignError::CorruptCheckpoint`] — never a wrong alignment. The run
-/// restarts under the snapshot's own configuration (which may already be
-/// a degraded rung) and keeps degrading from there on further faults:
-/// frames are self-describing, so a retry with a smaller `base_cells` or
-/// `k` reuses every already-filled grid cache and only shapes *future*
-/// frames differently.
-pub fn align_resume(
-    a: &Sequence,
-    b: &Sequence,
-    scheme: &ScoringScheme,
-    state: CheckpointState,
-    opts: &AlignOptions,
-    metrics: &Metrics,
-) -> Result<AlignResult, AlignError> {
-    state.config.validate_run(scheme, a.len(), b.len())?;
-    validate_kernel(opts)?;
-    let mut cfg = state.config;
-    let mut rung: u32 = 0;
-    loop {
-        let mut solver = solver::Solver::new(scheme, cfg, metrics, opts);
-        let err = match solver.resume(a, b, state.clone()) {
-            Ok(r) => return Ok(r),
-            Err(e) => e,
-        };
-        let (reason, next) = match &err {
-            AlignError::AllocFailed { .. } => (DegradeReason::AllocFailed, next_rung(&cfg)),
-            AlignError::WorkerPanic if cfg.threads() > 1 => (
-                DegradeReason::WorkerPanic,
-                Some(FastLsaConfig {
-                    parallel: None,
-                    ..cfg
-                }),
-            ),
-            _ => return Err(err),
-        };
-        let Some(next) = next else {
-            return Err(err);
-        };
-        rung += 1;
-        if let Some(reg) = &opts.registry {
-            reg.counter(flsa_metrics::names::DEGRADE_STEPS_TOTAL).inc();
-        }
-        if let Some(r) = metrics.recorder() {
-            let now = r.now_ns();
-            r.record(
-                now,
-                now,
-                EventKind::Degrade {
-                    reason,
-                    rung,
-                    k: next.k as u32,
-                    base_cells: next.base_cells as u64,
-                    threads: next.threads() as u32,
-                },
-            );
-        }
-        if let Some(p) = &opts.checkpoint {
-            p.sink.note_degrade(reason.name(), rung, &next);
-        }
-        cfg = next;
-    }
-}
-
 /// Aligns many **independent** pairs at once on the inter-sequence
 /// [`BatchKernel`] (one pair per SIMD lane), under a shared linear-gap
 /// scoring scheme.
@@ -252,7 +237,8 @@ pub fn align_resume(
 /// regime (database search, service request coalescing), not for two
 /// megabase genomes. `opts` contributes the kernel-backend override
 /// ([`AlignOptions::kernel`]); budget/cancel/checkpoint options do not
-/// apply to batch jobs.
+/// apply to batch jobs. The batch kernel is linear-gap only: an affine
+/// scheme is refused with [`ConfigError::UnsupportedGapModel`].
 pub fn align_batch(
     pairs: &[(&Sequence, &Sequence)],
     scheme: &ScoringScheme,
@@ -260,6 +246,12 @@ pub fn align_batch(
     metrics: &Metrics,
 ) -> Result<Vec<AlignResult>, AlignError> {
     validate_kernel(opts)?;
+    if let GapModel::Affine { .. } = scheme.gap() {
+        return Err(ConfigError::UnsupportedGapModel {
+            entry: "align_batch",
+        }
+        .into());
+    }
     let max_span = max_safe_span(scheme);
     for (a, b) in pairs {
         for s in [a, b] {
@@ -302,6 +294,28 @@ fn validate_kernel(opts: &AlignOptions) -> Result<(), ConfigError> {
     }
 }
 
+/// Rejects what the affine frontier does not run: parallel fills and
+/// checkpoint snapshots store one layer per grid line.
+fn validate_gap_model(
+    scheme: &ScoringScheme,
+    config: &FastLsaConfig,
+    opts: &AlignOptions,
+) -> Result<(), ConfigError> {
+    if let GapModel::Affine { .. } = scheme.gap() {
+        if config.threads() > 1 {
+            return Err(ConfigError::UnsupportedGapModel {
+                entry: "parallel fills (threads > 1)",
+            });
+        }
+        if opts.checkpoint.is_some() {
+            return Err(ConfigError::UnsupportedGapModel {
+                entry: "checkpointing",
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Like [`align_with`], additionally returning the execution trace for
 /// schedule replay (experiments E7/E8; see [`model::replay`]).
 pub fn align_traced(
@@ -312,7 +326,9 @@ pub fn align_traced(
     metrics: &Metrics,
 ) -> Result<(AlignResult, CostLog), AlignError> {
     config.validate_run(scheme, a.len(), b.len())?;
-    let mut solver = solver::Solver::new(scheme, config, metrics, &AlignOptions::default());
+    let opts = AlignOptions::default();
+    validate_gap_model(scheme, &config, &opts)?;
+    let mut solver = solver::Solver::new(scheme, config, metrics, &opts);
     let result = solver.run(a, b)?;
     Ok((result, solver.log))
 }

@@ -8,6 +8,13 @@
 //! anywhere on the next block's bottom/right edge, so the implementation
 //! uses the general invariant throughout (DESIGN.md §6).
 //!
+//! One loop serves both gap models. What differs is what a grid line
+//! stores (one i32 layer for linear gaps, `H` plus the gap state crossing
+//! the line for affine gaps) and whether the head sits inside a gap run,
+//! so the code dispatches on [`ScoringScheme::gap`] in three places only:
+//! the whole problem's boundary (`run`), the block edge fill
+//! (`fill_grid_sequential`) and the base case (`base_case`).
+//!
 //! The recursion is materialized as a [`Frame`] stack rather than call
 //! frames so the live state can be snapshotted (DESIGN.md §10): at the
 //! top of every drive-loop iteration, the stack plus the partial path is
@@ -16,9 +23,14 @@
 //! where [`CheckpointPolicy`] snapshots are taken and where resumed runs
 //! re-enter.
 
+use flsa_dp::affine::{
+    fill_affine_edges_into, fill_affine_full, trace_affine, AffineBoundary, AffineGlobalBoundary,
+    AffineMatrices, GapState,
+};
 use flsa_dp::traceback::trace_from;
-use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, PathBuilder};
-use flsa_scoring::ScoringScheme;
+use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, PathBuilder, ScoreMatrix};
+use flsa_fullmatrix::gotoh::score_path_affine;
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 use flsa_trace::{EventKind, Recorder, SpanKind};
 
@@ -27,7 +39,7 @@ use crate::config::FastLsaConfig;
 use crate::costlog::{CostEvent, CostLog};
 use crate::error::AlignError;
 use crate::governor::{AlignOptions, RunCtx};
-use crate::grid::{segment_of, Grid};
+use crate::grid::{segment_of, store_edge, sub_line, Grid};
 use crate::metrics::CoreMetrics;
 use crate::parallel;
 
@@ -39,13 +51,16 @@ struct Frame<'m> {
     c0: usize,
     rows: usize,
     cols: usize,
-    /// Input top boundary, length `cols + 1` (owned so the frame is
-    /// self-contained and snapshot-able).
+    /// Input top boundary, `cols + 1` entries per frontier layer (owned
+    /// so the frame is self-contained and snapshot-able).
     top: Vec<i32>,
-    /// Input left boundary, length `rows + 1`.
+    /// Input left boundary, `rows + 1` entries per frontier layer.
     left: Vec<i32>,
     /// Path head in local coordinates.
     head: (usize, usize),
+    /// The DP layer the head is in: always `H` for linear gaps; `E`/`F`
+    /// when an affine gap run crosses into this rectangle.
+    state: GapState,
     grid: Option<Grid>,
     /// Metrics accounting for the grid cache, dropped with the frame.
     grid_guard: Option<MemGuard<'m>>,
@@ -58,8 +73,9 @@ pub(crate) struct Solver<'s> {
     pub config: FastLsaConfig,
     pub metrics: &'s Metrics,
     /// The pre-allocated Base Case buffer (paper: "BM units of memory are
-    /// reserved"), recycled across base-case solves.
-    base_storage: Vec<i32>,
+    /// reserved"), one `base_cells` layer per DP layer of the gap model
+    /// (`H`; or `H`, `E`, `F`), recycled across base-case solves.
+    base_storage: [Vec<i32>; 3],
     /// Scratch for discarded block outputs during sequential grid fills.
     scratch_row: Vec<i32>,
     scratch_col: Vec<i32>,
@@ -115,9 +131,12 @@ impl<'s> Solver<'s> {
         // `align_opts` validates availability up front, so an explicit
         // request can only fail here on a resumed snapshot from another
         // machine — fall back to auto-detection rather than erroring.
-        let kernel = match opts.kernel {
-            Some(b) => Kernel::try_new(b).unwrap_or_else(|_| Kernel::auto()),
-            None => Kernel::auto(),
+        // The affine fills are scalar, so their cells are attributed to
+        // the scalar backend.
+        let kernel = match (scheme.gap(), opts.kernel) {
+            (GapModel::Affine { .. }, _) => Kernel::scalar(),
+            (_, Some(b)) => Kernel::try_new(b).unwrap_or_else(|_| Kernel::auto()),
+            (_, None) => Kernel::auto(),
         };
         if let Some(r) = metrics.recorder() {
             r.set_kernel_backend(kernel.backend().name());
@@ -130,7 +149,7 @@ impl<'s> Solver<'s> {
             scheme,
             config,
             metrics,
-            base_storage: Vec::new(),
+            base_storage: Default::default(),
             scratch_row: Vec::new(),
             scratch_col: Vec::new(),
             pool,
@@ -146,6 +165,36 @@ impl<'s> Solver<'s> {
             arena_charged: 0,
             obs: opts.registry.as_deref().map(CoreMetrics::new),
         }
+    }
+
+    /// i32 layers per frontier entry: `H` for linear gaps; `H` plus the
+    /// gap state crossing the line (`F` on rows, `E` on columns) for
+    /// affine gaps.
+    fn line_layers(&self) -> usize {
+        match self.scheme.gap() {
+            GapModel::Linear { .. } => 1,
+            GapModel::Affine { .. } => 2,
+        }
+    }
+
+    /// Reserves the Base Case buffer up front, as the paper does — one
+    /// layer per DP layer of the gap model — fallibly, through the
+    /// governor, so an over-budget `BM` surfaces as `AllocFailed` before
+    /// any work happens.
+    fn reserve_base(&mut self) -> Result<MemGuard<'s>, AlignError> {
+        let layers = match self.scheme.gap() {
+            GapModel::Linear { .. } => 1,
+            GapModel::Affine { .. } => 3,
+        };
+        for layer in &mut self.base_storage[..layers] {
+            *layer = self
+                .ctx
+                .governor
+                .try_alloc_i32(self.config.base_cells, "base-case buffer")?;
+        }
+        Ok(self
+            .metrics
+            .track_alloc(layers * self.config.base_cells * std::mem::size_of::<i32>()))
     }
 
     /// Sets the run-phase gauge (see [`flsa_metrics::names::PHASE`]).
@@ -210,27 +259,30 @@ impl<'s> Solver<'s> {
     pub fn run(&mut self, a: &Sequence, b: &Sequence) -> Result<AlignResult, AlignError> {
         self.check_alphabets(a, b)?;
         let (m, n) = (a.len(), b.len());
-        let gap = self.scheme.gap().linear_penalty();
         if let Some(obs) = &self.obs {
             // `m·n` is a lower bound on total cells (grid-cache refills
             // push the real total above it); the progress line caps its
             // percentage accordingly.
             obs.run_expected.set((m as i64).saturating_mul(n as i64));
         }
+        let base_guard = self.reserve_base()?;
 
-        // Reserve the Base Case buffer up front, as the paper does —
-        // fallibly, through the governor, so an over-budget `BM` surfaces
-        // as `AllocFailed` before any work happens.
-        self.base_storage = self
-            .ctx
-            .governor
-            .try_alloc_i32(self.config.base_cells, "base-case buffer")?;
-        let base_guard = self
-            .metrics
-            .track_alloc(self.config.base_cells * std::mem::size_of::<i32>());
-
-        let top: Vec<i32> = (0..=n as i64).map(|j| (j * gap as i64) as i32).collect();
-        let left: Vec<i32> = (0..=m as i64).map(|i| (i * gap as i64) as i32).collect();
+        // The whole problem's boundary: the gap ramp, with the affine
+        // gap states unreachable.
+        let (top, left) = match *self.scheme.gap() {
+            GapModel::Linear { penalty } => {
+                let ramp = |len: usize| -> Vec<i32> {
+                    (0..=len as i64)
+                        .map(|k| (k * penalty as i64) as i32)
+                        .collect()
+                };
+                (ramp(n), ramp(m))
+            }
+            GapModel::Affine { open, extend } => {
+                let g = AffineGlobalBoundary::new(m, n, open, extend);
+                ([g.top_h, g.top_v].concat(), [g.left_h, g.left_e].concat())
+            }
+        };
         self.frames.push(Frame {
             r0: 0,
             c0: 0,
@@ -239,6 +291,7 @@ impl<'s> Solver<'s> {
             top,
             left,
             head: (m, n),
+            state: GapState::H,
             grid: None,
             grid_guard: None,
         });
@@ -270,13 +323,7 @@ impl<'s> Solver<'s> {
                 .set((a.len() as i64).saturating_mul(b.len() as i64));
         }
 
-        self.base_storage = self
-            .ctx
-            .governor
-            .try_alloc_i32(self.config.base_cells, "base-case buffer")?;
-        let base_guard = self
-            .metrics
-            .track_alloc(self.config.base_cells * std::mem::size_of::<i32>());
+        let base_guard = self.reserve_base()?;
 
         for fs in state.frames {
             let FrameState {
@@ -304,6 +351,7 @@ impl<'s> Solver<'s> {
                 top,
                 left,
                 head,
+                state: GapState::H,
                 grid,
                 grid_guard,
             });
@@ -334,7 +382,7 @@ impl<'s> Solver<'s> {
     /// Extends the partial path from the recursion's exit point along
     /// the gap-ramp boundary to the top-left corner (paper: "this
     /// partial optimal path can then be extended to the top-left
-    /// entry") and scores it.
+    /// entry") and scores it under the scheme's gap model.
     fn finish_path(
         &self,
         a: &Sequence,
@@ -350,7 +398,10 @@ impl<'s> Solver<'s> {
         }
         let path = builder.finish((0, 0));
         debug_assert!(path.is_global(a.len(), b.len()));
-        let score = path.score(a, b, self.scheme);
+        let score = match self.scheme.gap() {
+            GapModel::Linear { .. } => path.score(a, b, self.scheme),
+            GapModel::Affine { .. } => score_path_affine(&path, a, b, self.scheme),
+        };
         AlignResult { score, path }
     }
 
@@ -391,15 +442,16 @@ impl<'s> Solver<'s> {
                 });
             };
 
-            // 1. Head on the exit boundary: pop and propagate.
-            if f.head.0 == 0 || f.head.1 == 0 {
+            // 1. Head on the exit boundary for its state: pop and
+            //    propagate.
+            if exited(f.head, f.state) {
                 let exit = (f.r0 + f.head.0, f.c0 + f.head.1);
+                let state = f.state;
                 if let Some(frame) = self.frames.pop() {
                     self.release_frame(frame);
                 }
-                match self.frames.last_mut() {
-                    Some(p) => p.head = (exit.0 - p.r0, exit.1 - p.c0),
-                    None => return Ok(exit),
+                if let Some(exit) = self.return_to_parent(exit, state) {
+                    return Ok(exit);
                 }
                 continue;
             }
@@ -414,16 +466,16 @@ impl<'s> Solver<'s> {
                 let r1 = grid.row_bounds[s + 1];
                 let c0 = grid.col_bounds[t];
                 let c1 = grid.col_bounds[t + 1];
-                let sub_top = grid.cached_row(s, t).unwrap_or(&f.top[c0..=c1]).to_vec();
-                let sub_left = grid.cached_col(s, t).unwrap_or(&f.left[r0..=r1]).to_vec();
+                let layers = self.line_layers();
                 let child = Frame {
                     r0: f.r0 + r0,
                     c0: f.c0 + c0,
                     rows: r1 - r0,
                     cols: c1 - c0,
-                    top: sub_top,
-                    left: sub_left,
+                    top: sub_line(grid.row_line(s).unwrap_or(&f.top), layers, c0, c1),
+                    left: sub_line(grid.col_line(t).unwrap_or(&f.left), layers, r0, r1),
                     head: (i - r0, j - c0),
+                    state: f.state,
                     grid: None,
                     grid_guard: None,
                 };
@@ -449,16 +501,23 @@ impl<'s> Solver<'s> {
             let fb = &b[frame.c0..frame.c0 + frame.cols];
 
             if is_base {
-                match self.base_case(fa, fb, &frame.top, &frame.left, frame.head, out) {
-                    Ok(local_exit) => {
+                let solved = self.base_case(
+                    fa,
+                    fb,
+                    &frame.top,
+                    &frame.left,
+                    (frame.head, frame.state),
+                    out,
+                );
+                match solved {
+                    Ok((local_exit, state)) => {
                         self.blocks_done += 1;
                         if let Some(obs) = &self.obs {
                             obs.blocks.inc();
                         }
                         let exit = (frame.r0 + local_exit.0, frame.c0 + local_exit.1);
-                        match self.frames.last_mut() {
-                            Some(p) => p.head = (exit.0 - p.r0, exit.1 - p.c0),
-                            None => return Ok(exit),
+                        if let Some(exit) = self.return_to_parent(exit, state) {
+                            return Ok(exit);
                         }
                     }
                     Err(e) => {
@@ -481,6 +540,22 @@ impl<'s> Solver<'s> {
                 }
             }
         }
+    }
+
+    /// Moves the path head to absolute `exit` in `state` on the frame
+    /// below the popped one; `Some(exit)` when the popped frame was the
+    /// root.
+    fn return_to_parent(
+        &mut self,
+        exit: (usize, usize),
+        state: GapState,
+    ) -> Option<(usize, usize)> {
+        let Some(p) = self.frames.last_mut() else {
+            return Some(exit);
+        };
+        p.head = (exit.0 - p.r0, exit.1 - p.c0);
+        p.state = state;
+        None
     }
 
     /// Settles the kernel arena's byte usage against the governor. The
@@ -536,7 +611,8 @@ impl<'s> Solver<'s> {
         let (rows, cols) = (frame.rows, frame.cols);
         let k_r = self.config.k.min(rows);
         let k_c = self.config.k.min(cols);
-        let mut grid = match Grid::try_new(rows, cols, k_r, k_c, &self.ctx.governor) {
+        let layers = self.line_layers();
+        let mut grid = match Grid::try_new(rows, cols, k_r, k_c, layers, &self.ctx.governor) {
             Ok(g) => g,
             Err(e) => return Err((frame, e)),
         };
@@ -665,16 +741,18 @@ impl<'s> Solver<'s> {
         }
     }
 
-    /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer.
+    /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer,
+    /// then traceback from `head` (with its gap state) to the rectangle's
+    /// exit boundary.
     fn base_case(
         &mut self,
         a: &[u8],
         b: &[u8],
         top: &[i32],
         left: &[i32],
-        head: (usize, usize),
+        (head, state): ((usize, usize), GapState),
         out: &mut PathBuilder,
-    ) -> Result<(usize, usize), AlignError> {
+    ) -> Result<((usize, usize), GapState), AlignError> {
         let (rows, cols) = (a.len(), b.len());
         self.log.events.push(CostEvent::BaseFill { rows, cols });
 
@@ -689,20 +767,38 @@ impl<'s> Solver<'s> {
         });
         self.set_phase(flsa_metrics::names::PHASE_BASE_CASE);
         let fill_start = self.recorder().map(Recorder::now_ns);
-        let dpm = if use_parallel {
-            match parallel::fill_base_parallel(self, a, b, top, left) {
-                Ok(d) => d,
-                Err(e) => {
-                    // The fill never ran to completion: undo the
-                    // cost-log entry so replay stays consistent.
-                    self.log.events.pop();
-                    return Err(e);
+        let filled = match self.scheme.gap() {
+            GapModel::Affine { .. } => Filled::Affine(fill_affine_full(
+                a,
+                b,
+                AffineBoundary::from_layers(top, left),
+                self.scheme,
+                std::mem::take(&mut self.base_storage),
+                self.metrics,
+            )),
+            GapModel::Linear { .. } if use_parallel => {
+                match parallel::fill_base_parallel(self, a, b, top, left) {
+                    Ok(d) => Filled::Linear(d),
+                    Err(e) => {
+                        // The fill never ran to completion: undo the
+                        // cost-log entry so replay stays consistent.
+                        self.log.events.pop();
+                        return Err(e);
+                    }
                 }
             }
-        } else {
-            let storage = std::mem::take(&mut self.base_storage);
-            self.kernel
-                .fill_full_reusing(a, b, top, left, self.scheme, storage, self.metrics)
+            GapModel::Linear { .. } => {
+                let storage = std::mem::take(&mut self.base_storage[0]);
+                Filled::Linear(self.kernel.fill_full_reusing(
+                    a,
+                    b,
+                    top,
+                    left,
+                    self.scheme,
+                    storage,
+                    self.metrics,
+                ))
+            }
         };
         self.record_span(fill_start, SpanKind::BaseCase, rows, cols, 0, 0);
         self.metrics.add_base_case_cells(rows as u64 * cols as u64);
@@ -710,22 +806,37 @@ impl<'s> Solver<'s> {
         let before = out.len();
         self.set_phase(flsa_metrics::names::PHASE_TRACEBACK);
         let trace_start = self.recorder().map(Recorder::now_ns);
-        let exit = trace_from(&dpm, a, b, self.scheme, head, out, self.metrics);
+        let exit = match &filled {
+            Filled::Linear(dpm) => (
+                trace_from(dpm, a, b, self.scheme, head, out, self.metrics),
+                GapState::H,
+            ),
+            Filled::Affine(mats) => {
+                trace_affine(mats, a, b, self.scheme, head, state, out, self.metrics)
+            }
+        };
         self.record_span(trace_start, SpanKind::Traceback, rows, cols, 0, 0);
         self.log.events.push(CostEvent::Trace {
             steps: (out.len() - before) as u64,
         });
 
-        // Return the buffer for the next base case (keep the larger one).
-        let storage = dpm.into_vec();
-        if storage.capacity() > self.base_storage.capacity() {
-            self.base_storage = storage;
+        // Return the buffers for the next base case (keep the larger
+        // linear one: a parallel fill brings its own).
+        match filled {
+            Filled::Linear(dpm) => {
+                let storage = dpm.into_vec();
+                if storage.capacity() > self.base_storage[0].capacity() {
+                    self.base_storage[0] = storage;
+                }
+            }
+            Filled::Affine(mats) => self.base_storage = mats.into_storage(),
         }
         Ok(exit)
     }
 
     /// Sequential fillGridCache: every block except the bottom-right one,
-    /// in row-major order (a valid topological order of the block DAG).
+    /// in row-major order (a valid topological order of the block DAG),
+    /// on the linear kernel or the scalar affine edge fill.
     fn fill_grid_sequential(
         &mut self,
         a: &[u8],
@@ -734,10 +845,9 @@ impl<'s> Solver<'s> {
         left: &[i32],
         grid: &mut Grid,
     ) {
+        let layers = self.line_layers();
         let k_r = grid.k_r();
         let k_c = grid.k_c();
-        let mut top_buf: Vec<i32> = Vec::new();
-        let mut left_buf: Vec<i32> = Vec::new();
         for s in 0..k_r {
             for t in 0..k_c {
                 if s == k_r - 1 && t == k_c - 1 {
@@ -750,31 +860,61 @@ impl<'s> Solver<'s> {
 
                 // Copy the input boundary out of the grid first so the
                 // output borrows below don't conflict.
-                top_buf.clear();
-                top_buf.extend_from_slice(grid.cached_row(s, t).unwrap_or(&top[c0..=c1]));
-                left_buf.clear();
-                left_buf.extend_from_slice(grid.cached_col(s, t).unwrap_or(&left[r0..=r1]));
+                let top_buf = sub_line(grid.row_line(s).unwrap_or(top), layers, c0, c1);
+                let left_buf = sub_line(grid.col_line(t).unwrap_or(left), layers, r0, r1);
 
-                self.scratch_row.resize(c1 - c0 + 1, 0);
-                self.scratch_col.resize(r1 - r0 + 1, 0);
-                flsa_dp::boundary::check_boundary(&top_buf, &left_buf, r1 - r0, c1 - c0);
-                self.kernel.fill_last_row_col(
-                    &a[r0..r1],
-                    &b[c0..c1],
-                    &top_buf,
-                    &left_buf,
-                    self.scheme,
-                    &mut self.scratch_row,
-                    Some(&mut self.scratch_col),
-                    self.metrics,
-                );
+                self.scratch_row.resize(layers * (c1 - c0 + 1), 0);
+                self.scratch_col.resize(layers * (r1 - r0 + 1), 0);
+                let (ba, bb) = (&a[r0..r1], &b[c0..c1]);
+                match self.scheme.gap() {
+                    GapModel::Linear { .. } => {
+                        flsa_dp::boundary::check_boundary(&top_buf, &left_buf, r1 - r0, c1 - c0);
+                        self.kernel.fill_last_row_col(
+                            ba,
+                            bb,
+                            &top_buf,
+                            &left_buf,
+                            self.scheme,
+                            &mut self.scratch_row,
+                            Some(&mut self.scratch_col),
+                            self.metrics,
+                        );
+                    }
+                    GapModel::Affine { .. } => fill_affine_edges_into(
+                        ba,
+                        bb,
+                        AffineBoundary::from_layers(&top_buf, &left_buf),
+                        self.scheme,
+                        &mut self.scratch_row,
+                        &mut self.scratch_col,
+                        self.metrics,
+                    ),
+                }
                 if s + 1 < k_r {
-                    grid.rows_cache[s][c0..=c1].copy_from_slice(&self.scratch_row);
+                    store_edge(&mut grid.rows_cache[s], &self.scratch_row, layers, c0);
                 }
                 if t + 1 < k_c {
-                    grid.cols_cache[t][r0..=r1].copy_from_slice(&self.scratch_col);
+                    store_edge(&mut grid.cols_cache[t], &self.scratch_col, layers, r0);
                 }
             }
         }
     }
+}
+
+/// Whether a path head at `head` in `state` has left its rectangle: on
+/// the top row or left column, except that inside an affine gap run it
+/// leaves only the way the run points (`F`, an Up run, through the top
+/// row; `E`, a Left run, through the left column).
+fn exited(head: (usize, usize), state: GapState) -> bool {
+    match state {
+        GapState::H => head.0 == 0 || head.1 == 0,
+        GapState::F => head.0 == 0,
+        GapState::E => head.1 == 0,
+    }
+}
+
+/// A filled base case, per gap model.
+enum Filled {
+    Linear(ScoreMatrix),
+    Affine(AffineMatrices),
 }

@@ -13,7 +13,7 @@
 //! state than the linear case: a horizontal grid line must carry `H` and
 //! `F` (vertical runs cross it), a vertical one `H` and `E`. These
 //! kernels are the affine analogues of [`crate::kernel`]'s, used by the
-//! affine FastLSA extension (`fastlsa-core`).
+//! FastLSA drive loop (`fastlsa-core`) when the gap model is affine.
 
 use flsa_scoring::{GapModel, ScoringScheme};
 
@@ -53,7 +53,21 @@ pub struct AffineBoundary<'a> {
     pub left_e: &'a [i32],
 }
 
-impl AffineBoundary<'_> {
+impl<'a> AffineBoundary<'a> {
+    /// Views two layered lines as a boundary: `top` holds the `H` layer
+    /// then the `F` layer, `left` the `H` layer then the `E` layer, each
+    /// layer half of its line.
+    pub fn from_layers(top: &'a [i32], left: &'a [i32]) -> Self {
+        let (top_h, top_v) = top.split_at(top.len() / 2);
+        let (left_h, left_e) = left.split_at(left.len() / 2);
+        AffineBoundary {
+            top_h,
+            top_v,
+            left_h,
+            left_e,
+        }
+    }
+
     fn check_boundary(&self, rows: usize, cols: usize) {
         assert_eq!(self.top_h.len(), cols + 1, "top_h length");
         assert_eq!(self.top_v.len(), cols + 1, "top_v length");
@@ -117,17 +131,6 @@ pub struct AffineEdges {
     pub right_e: Vec<i32>,
 }
 
-impl AffineEdges {
-    /// Returns the four edge buffers to `arena` for reuse. Pair with
-    /// [`fill_affine_edges_in`] once the edges have been copied out.
-    pub fn recycle(self, arena: &crate::KernelArena) {
-        arena.put(self.bottom_h);
-        arena.put(self.bottom_v);
-        arena.put(self.right_h);
-        arena.put(self.right_e);
-    }
-}
-
 /// Rolling-row fill returning the rectangle's bottom and right edges
 /// (the affine analogue of [`crate::kernel::fill_last_row_col`]).
 pub fn fill_affine_edges(
@@ -138,59 +141,42 @@ pub fn fill_affine_edges(
     metrics: &Metrics,
 ) -> AffineEdges {
     let (rows, cols) = (a.len(), b.len());
-    let mut edges = AffineEdges {
-        bottom_h: vec![0; cols + 1],
-        bottom_v: vec![0; cols + 1],
-        right_h: vec![0; rows + 1],
-        right_e: vec![0; rows + 1],
-    };
-    fill_affine_edges_into(a, b, bnd, scheme, &mut edges, metrics);
-    edges
+    let mut bottom_h = vec![0; 2 * (cols + 1)];
+    let mut right_h = vec![0; 2 * (rows + 1)];
+    fill_affine_edges_into(a, b, bnd, scheme, &mut bottom_h, &mut right_h, metrics);
+    let bottom_v = bottom_h.split_off(cols + 1);
+    let right_e = right_h.split_off(rows + 1);
+    AffineEdges {
+        bottom_h,
+        bottom_v,
+        right_h,
+        right_e,
+    }
 }
 
-/// [`fill_affine_edges`] with all four output buffers drawn from an
-/// arena instead of freshly allocated — identical results. Return the
-/// buffers with [`AffineEdges::recycle`] once the caller has copied the
-/// edges out, so repeated block fills are allocation-free.
-pub fn fill_affine_edges_in(
+/// [`fill_affine_edges`] into caller buffers laid out as layered lines:
+/// `bottom` (`2·(cols + 1)`) receives `H` then `F` along the bottom row,
+/// `right` (`2·(rows + 1)`) receives `H` then `E` down the right column.
+/// Prior contents are overwritten. The first entry of each gap-state
+/// layer is a placeholder: no cell of this rectangle updates it.
+pub fn fill_affine_edges_into(
     a: &[u8],
     b: &[u8],
     bnd: AffineBoundary<'_>,
     scheme: &ScoringScheme,
-    arena: &crate::KernelArena,
-    metrics: &Metrics,
-) -> AffineEdges {
-    let (rows, cols) = (a.len(), b.len());
-    let mut edges = AffineEdges {
-        bottom_h: arena.take(cols + 1),
-        bottom_v: arena.take(cols + 1),
-        right_h: arena.take(rows + 1),
-        right_e: arena.take(rows + 1),
-    };
-    fill_affine_edges_into(a, b, bnd, scheme, &mut edges, metrics);
-    edges
-}
-
-/// The rolling-row core shared by the allocating and arena-backed entry
-/// points. `edges` must hold four buffers of exactly `cols + 1` /
-/// `rows + 1` elements; prior contents are overwritten.
-fn fill_affine_edges_into(
-    a: &[u8],
-    b: &[u8],
-    bnd: AffineBoundary<'_>,
-    scheme: &ScoringScheme,
-    edges: &mut AffineEdges,
+    bottom: &mut [i32],
+    right: &mut [i32],
     metrics: &Metrics,
 ) {
     let (rows, cols) = (a.len(), b.len());
     bnd.check_boundary(rows, cols);
+    assert_eq!(bottom.len(), 2 * (cols + 1), "bottom edge length");
+    assert_eq!(right.len(), 2 * (rows + 1), "right edge length");
     let (open, extend) = affine_params(scheme);
     let matrix = scheme.matrix();
 
-    let h_row = &mut edges.bottom_h;
-    let v_row = &mut edges.bottom_v;
-    let right_h = &mut edges.right_h;
-    let right_e = &mut edges.right_e;
+    let (h_row, v_row) = bottom.split_at_mut(cols + 1);
+    let (right_h, right_e) = right.split_at_mut(rows + 1);
     h_row.copy_from_slice(bnd.top_h);
     v_row.copy_from_slice(bnd.top_v);
     right_h.fill(NEG);
@@ -229,12 +215,23 @@ pub struct AffineMatrices {
     pub f: ScoreMatrix,
 }
 
-/// Full fill of all three layers (the affine base-case solver).
+impl AffineMatrices {
+    /// Consumes the layers, returning their storage (`H`, `E`, `F`) for
+    /// the next [`fill_affine_full`].
+    pub fn into_storage(self) -> [Vec<i32>; 3] {
+        [self.h.into_vec(), self.e.into_vec(), self.f.into_vec()]
+    }
+}
+
+/// Full fill of all three layers (the affine base-case solver), reusing
+/// `storage` (`H`, `E`, `F`; resized as needed) the way
+/// [`crate::kernel::fill_full_reusing`] reuses the linear base buffer.
 pub fn fill_affine_full(
     a: &[u8],
     b: &[u8],
     bnd: AffineBoundary<'_>,
     scheme: &ScoringScheme,
+    storage: [Vec<i32>; 3],
     metrics: &Metrics,
 ) -> AffineMatrices {
     let (rows, cols) = (a.len(), b.len());
@@ -242,9 +239,10 @@ pub fn fill_affine_full(
     let (open, extend) = affine_params(scheme);
     let matrix = scheme.matrix();
 
-    let mut h = ScoreMatrix::new(rows, cols);
-    let mut e = ScoreMatrix::new(rows, cols);
-    let mut f = ScoreMatrix::new(rows, cols);
+    let [h, e, f] = storage;
+    let mut h = ScoreMatrix::from_storage(rows, cols, h);
+    let mut e = ScoreMatrix::from_storage(rows, cols, e);
+    let mut f = ScoreMatrix::from_storage(rows, cols, f);
     for j in 0..=cols {
         h.set(0, j, bnd.top_h[j]);
         f.set(0, j, bnd.top_v[j]);
@@ -395,7 +393,7 @@ mod tests {
         let b = dna("ACGTGCAA");
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -10, -2);
         let metrics = Metrics::new();
-        let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, &metrics);
+        let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, Default::default(), &metrics);
 
         let sa = Sequence::from_codes("a", scheme.alphabet(), a.clone());
         let sb = Sequence::from_codes("b", scheme.alphabet(), b.clone());
@@ -438,7 +436,7 @@ mod tests {
         let b = dna("ACGTGCA");
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -10, -2);
         let metrics = Metrics::new();
-        let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, &metrics);
+        let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, Default::default(), &metrics);
         let edges = fill_affine_edges(&a, &b, bnd.view(), &scheme, &metrics);
         assert_eq!(&edges.bottom_h[..], mats.h.row(a.len()));
         assert_eq!(&edges.bottom_v[..], mats.f.row(a.len()));
@@ -457,7 +455,7 @@ mod tests {
         let b = dna("ACGTGCAATTGCA");
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -10, -2);
         let metrics = Metrics::new();
-        let whole = fill_affine_full(&a, &b, bnd.view(), &scheme, &metrics);
+        let whole = fill_affine_full(&a, &b, bnd.view(), &scheme, Default::default(), &metrics);
 
         let split = 6;
         let left = fill_affine_full(
@@ -470,6 +468,7 @@ mod tests {
                 left_e: &bnd.left_e,
             },
             &scheme,
+            Default::default(),
             &metrics,
         );
         let mid_h = left.h.col(split);
@@ -484,6 +483,7 @@ mod tests {
                 left_e: &mid_e,
             },
             &scheme,
+            Default::default(),
             &metrics,
         );
         for i in 0..=a.len() {
@@ -500,7 +500,7 @@ mod tests {
         let b = dna("ACGTGCAATT");
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -10, -2);
         let metrics = Metrics::new();
-        let whole = fill_affine_full(&a, &b, bnd.view(), &scheme, &metrics);
+        let whole = fill_affine_full(&a, &b, bnd.view(), &scheme, Default::default(), &metrics);
 
         let split = 7;
         let top = fill_affine_full(
@@ -513,6 +513,7 @@ mod tests {
                 left_e: &bnd.left_e[..=split],
             },
             &scheme,
+            Default::default(),
             &metrics,
         );
         let mid_h = top.h.row(split).to_vec();
@@ -527,6 +528,7 @@ mod tests {
                 left_e: &bnd.left_e[split..],
             },
             &scheme,
+            Default::default(),
             &metrics,
         );
         for i in 0..=(a.len() - split) {
@@ -541,7 +543,7 @@ mod tests {
         let b = dna("AAAAAAAA");
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -10, -2);
         let metrics = Metrics::new();
-        let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, &metrics);
+        let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, Default::default(), &metrics);
         let mut builder = PathBuilder::new();
         let ((ei, ej), st) = trace_affine(
             &mats,

@@ -10,8 +10,7 @@
 //!
 //! Provided as an alternative sequential kernel with the exact same
 //! contract as [`crate::kernel::fill_last_row_col`]; the equivalence is
-//! property-tested, and `benches/kernels.rs` compares the memory-access
-//! cost of the two traversals.
+//! property-tested.
 
 use flsa_scoring::ScoringScheme;
 

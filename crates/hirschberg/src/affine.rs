@@ -197,7 +197,7 @@ pub fn myers_miller_affine(
         GapModel::Linear { .. } => {
             // flsa-check: allow(panic) — documented `# Panics` contract;
             // the solver routes gap models before reaching this fn
-            // (ConfigError::GapModelNotAffine guards the fallible path).
+            // (ConfigError::UnsupportedGapModel guards the fallible path).
             panic!("myers_miller_affine requires an affine gap model; use hirschberg() for linear gaps")
         }
     };

@@ -4,8 +4,10 @@
 ///
 /// The paper (and all of its experiments) uses a linear model: every gap
 /// symbol costs the same fixed penalty. The affine model (Gotoh) is
-/// provided as the conventional production extension; only the full-matrix
-/// aligner supports it (see DESIGN.md §6).
+/// provided as the conventional production extension, supported by the
+/// Gotoh full-matrix aligner, Myers–Miller, and sequential FastLSA (see
+/// DESIGN.md §6); the parallel, checkpointed, sharded and batch paths
+/// are linear-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapModel {
     /// Each gap symbol adds `penalty` (negative) to the score.
@@ -52,16 +54,17 @@ impl GapModel {
     ///
     /// # Panics
     ///
-    /// Panics on an affine model: the linear-space algorithms (FastLSA,
-    /// Hirschberg) are defined for linear gaps only, and silently dropping
-    /// the open cost would produce wrong scores.
+    /// Panics on an affine model: the linear-gap kernels and algorithms
+    /// (Hirschberg, the linear DP kernels FastLSA dispatches to) would
+    /// silently drop the open cost and produce wrong scores.
     pub fn linear_penalty(&self) -> i32 {
         match *self {
             GapModel::Linear { penalty } => penalty,
             GapModel::Affine { .. } => {
                 // flsa-check: allow(panic) — documented `# Panics`
-                // contract: the solver validates the gap model up front
-                // (ConfigError::GapModelNotAffine), so the DP kernels
+                // contract: the solver dispatches on the gap model and
+                // the linear-only entry points refuse affine schemes
+                // (ConfigError::UnsupportedGapModel), so the DP kernels
                 // only call this after admission.
                 panic!("this aligner supports linear gap penalties only (paper's model)")
             }

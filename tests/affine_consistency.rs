@@ -123,3 +123,111 @@ proptest! {
         prop_assert_eq!(semi.score, exact.score);
     }
 }
+
+fn dna(s: &str) -> Sequence {
+    Sequence::from_str("s", &Alphabet::dna(), s).unwrap()
+}
+
+/// The i32 overflow guard covers affine alignments: an open cost this
+/// large leaves no safe span, so the run is refused instead of returning
+/// a wrapped score.
+#[test]
+fn affine_overflow_guard_refuses_unsafe_spans() {
+    let scheme = ScoringScheme::new(tables::dna_default(), GapModel::affine(-1_000_000_000, -1));
+    let err = fastlsa::core::align_affine(
+        &dna("ACGTACGTAC"),
+        &dna("ACGTAC"),
+        &scheme,
+        FastLsaConfig::default(),
+        &Metrics::new(),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        AlignError::Config(ConfigError::ScoreOverflow {
+            span: 16,
+            max_span: 0
+        })
+    );
+}
+
+/// Every entry point that cannot run a gap model says so with a typed
+/// error instead of panicking.
+#[test]
+fn unsupported_gap_models_are_typed_errors() {
+    struct NullSink;
+    impl fastlsa::core::CheckpointSink for NullSink {
+        fn save(&self, _: &fastlsa::core::CheckpointState) -> Result<u64, String> {
+            Ok(0)
+        }
+    }
+    let linear = ScoringScheme::dna_default();
+    let affine = ScoringScheme::new(tables::dna_default(), GapModel::affine(-10, -2));
+    let (a, b) = (dna("ACGTACGTAC"), dna("ACGTAC"));
+    let m = Metrics::new();
+    let unsupported = |r: Result<_, AlignError>| {
+        matches!(
+            r,
+            Err(AlignError::Config(ConfigError::UnsupportedGapModel { .. }))
+        )
+    };
+    let cfg = FastLsaConfig::new(4, 16);
+    assert!(unsupported(
+        fastlsa::core::align_affine(&a, &b, &linear, cfg, &m).map(|_| ())
+    ));
+    assert!(unsupported(
+        fastlsa::align_batch(&[(&a, &b)], &affine, &AlignOptions::default(), &m).map(|_| ())
+    ));
+    let state = fastlsa::core::CheckpointState {
+        config: cfg,
+        blocks_done: 0,
+        generation: 0,
+        rev_moves: Vec::new(),
+        frames: Vec::new(),
+    };
+    assert!(unsupported(
+        fastlsa::core::align_resume(&a, &b, &affine, state, &AlignOptions::default(), &m)
+            .map(|_| ())
+    ));
+    let threaded = cfg.with_threads(2);
+    assert!(unsupported(
+        fastlsa::align_opts(&a, &b, &affine, threaded, &AlignOptions::default(), &m).map(|_| ())
+    ));
+    let checkpointed = AlignOptions {
+        checkpoint: Some(fastlsa::core::CheckpointPolicy::new(
+            1,
+            std::sync::Arc::new(NullSink),
+        )),
+        ..AlignOptions::default()
+    };
+    assert!(unsupported(
+        fastlsa::align_opts(&a, &b, &affine, cfg, &checkpointed, &m).map(|_| ())
+    ));
+}
+
+/// Affine runs share the degradation ladder: a budget below the default
+/// footprint (three 4 MiB base-case layers) walks down the rungs, and the
+/// result still equals Gotoh in score and in the re-scored path.
+#[test]
+fn affine_budget_descends_the_ladder_and_matches_gotoh() {
+    let scheme = ScoringScheme::new(tables::dna_default(), GapModel::affine(-12, -2));
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 600, 0.8, 5).unwrap();
+    let reg = std::sync::Arc::new(fastlsa::metrics::Registry::new());
+    let opts = AlignOptions {
+        budget_bytes: Some(256 << 10),
+        registry: Some(reg.clone()),
+        ..AlignOptions::default()
+    };
+    let metrics = Metrics::new();
+    let r =
+        fastlsa::align_opts(&a, &b, &scheme, FastLsaConfig::default(), &opts, &metrics).unwrap();
+    let degrades = reg
+        .snapshot()
+        .counter(fastlsa::metrics::names::DEGRADE_STEPS_TOTAL)
+        .unwrap_or(0);
+    assert!(degrades >= 1, "the budget should force a degrade step");
+    let full = gotoh(&a, &b, &scheme, &Metrics::new());
+    assert_eq!(r.score, full.score);
+    assert!(r.path.is_global(a.len(), b.len()));
+    assert_eq!(score_path_affine(&r.path, &a, &b, &scheme), full.score);
+}
