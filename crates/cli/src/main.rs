@@ -471,7 +471,7 @@ impl LiveObserver {
                     let _ = std::io::stderr().flush();
                 }
                 ticks += 1;
-                if ticks % 5 == 0 {
+                if ticks.is_multiple_of(5) {
                     if let Some(path) = &refresh_path {
                         let _ = write_metrics_file(path, &reg.snapshot());
                     }
@@ -1322,10 +1322,7 @@ fn cmd_batch(a: &args::Args) -> Result<(), CliError> {
             }
             // Interleave so the "consecutive records" pairing below
             // covers both input shapes with one code path.
-            ra.into_iter()
-                .zip(rb)
-                .flat_map(|(x, y)| [x, y])
-                .collect()
+            ra.into_iter().zip(rb).flat_map(|(x, y)| [x, y]).collect()
         }
         _ => {
             return Err(CliError::usage(
@@ -1730,7 +1727,9 @@ fn cmd_bench_kernels(a: &args::Args) -> Result<(), CliError> {
         // Dispatch-order sanity: detect_best prefers the widest vector
         // backend, so the widest must not be slower than the next-widest.
         if let Some(ratio) = report.widest_vs_next() {
-            println!("dispatch gate   widest vector backend {ratio:.2}x next-widest, 1.00x required");
+            println!(
+                "dispatch gate   widest vector backend {ratio:.2}x next-widest, 1.00x required"
+            );
             if ratio < 1.0 {
                 return Err(CliError::runtime(format!(
                     "kernel dispatch regression: widest vector backend runs at only \

@@ -244,6 +244,74 @@ fn fastlsa_affine_takes_the_shared_engine_options() {
     }
 }
 
+/// The value of counter `name` in a `--metrics` JSON export.
+fn counter(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    json.lines()
+        .find_map(|l| l.trim().strip_prefix(&key))
+        .and_then(|v| v.trim_end_matches(',').parse().ok())
+        .unwrap_or_else(|| panic!("no counter {name} in:\n{json}"))
+}
+
+#[test]
+fn fastlsa_affine_runs_on_the_requested_kernel() {
+    let fa = tmp("affine-kernel.fa");
+    let metrics = tmp("affine-kernel-metrics.json");
+    let out = flsa(&[
+        "gen",
+        "--len",
+        "600",
+        "--seed",
+        "9",
+        "-o",
+        fa.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let mut backends = vec![flsa_dp::KernelBackend::Scalar];
+    backends.extend(
+        flsa_dp::KernelBackend::available()
+            .into_iter()
+            .filter(|b| *b != flsa_dp::KernelBackend::Scalar),
+    );
+    let mut reference: Option<String> = None;
+    for backend in backends {
+        let out = flsa(&[
+            "align",
+            "--algo",
+            "fastlsa-affine",
+            "-k",
+            "4",
+            "--base-cells",
+            "4096",
+            "--kernel",
+            backend.name(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+            fa.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{backend}: {out:?}");
+        // Every backend prints the same alignment, byte for byte.
+        let text = stdout(&out);
+        match &reference {
+            None => reference = Some(text),
+            Some(want) => assert_eq!(&text, want, "{backend}"),
+        }
+        // ... and every affine cell is credited to the backend asked for.
+        let exported = std::fs::read_to_string(&metrics).expect("metrics export written");
+        let cells = counter(&exported, "flsa_cells_total");
+        assert!(cells > 0);
+        let slug = backend.name().replace('.', "");
+        assert_eq!(
+            counter(&exported, &format!("flsa_cells_backend_{slug}_total")),
+            cells,
+            "{backend}: {exported}"
+        );
+    }
+    for f in [fa, metrics] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
 #[test]
 fn local_and_semiglobal_modes_run() {
     let fa = tmp("modes.fa");

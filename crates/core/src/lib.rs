@@ -269,8 +269,9 @@ pub fn align_batch(
     }
     let kernel = match opts.kernel {
         // validate_kernel above already rejected unavailable backends.
-        Some(b) => Kernel::try_new(b)
-            .map_err(|e| ConfigError::KernelUnavailable { backend: e.backend.name() })?,
+        Some(b) => Kernel::try_new(b).map_err(|e| ConfigError::KernelUnavailable {
+            backend: e.backend.name(),
+        })?,
         None => Kernel::auto(),
     };
     let batch = BatchKernel::new(kernel);
@@ -748,7 +749,9 @@ mod tests {
     fn batch_api_matches_single_pair_alignment() {
         let scheme = ScoringScheme::dna_default();
         let pairs: Vec<(Sequence, Sequence)> = (0..11)
-            .map(|seed| homologous_pair("t", &Alphabet::dna(), 80 + seed * 7, 0.8, seed as u64).unwrap())
+            .map(|seed| {
+                homologous_pair("t", &Alphabet::dna(), 80 + seed * 7, 0.8, seed as u64).unwrap()
+            })
             .collect();
         let refs: Vec<(&Sequence, &Sequence)> = pairs.iter().map(|(a, b)| (a, b)).collect();
         let got = align_batch(&refs, &scheme, &AlignOptions::default(), &Metrics::new()).unwrap();

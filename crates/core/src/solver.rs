@@ -24,8 +24,7 @@
 //! re-enter.
 
 use flsa_dp::affine::{
-    fill_affine_edges_into, fill_affine_full, trace_affine, AffineBoundary, AffineGlobalBoundary,
-    AffineMatrices, GapState,
+    trace_affine, AffineBoundary, AffineGlobalBoundary, AffineMatrices, GapState,
 };
 use flsa_dp::traceback::trace_from;
 use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, PathBuilder, ScoreMatrix};
@@ -131,12 +130,9 @@ impl<'s> Solver<'s> {
         // `align_opts` validates availability up front, so an explicit
         // request can only fail here on a resumed snapshot from another
         // machine — fall back to auto-detection rather than erroring.
-        // The affine fills are scalar, so their cells are attributed to
-        // the scalar backend.
-        let kernel = match (scheme.gap(), opts.kernel) {
-            (GapModel::Affine { .. }, _) => Kernel::scalar(),
-            (_, Some(b)) => Kernel::try_new(b).unwrap_or_else(|_| Kernel::auto()),
-            (_, None) => Kernel::auto(),
+        let kernel = match opts.kernel {
+            Some(b) => Kernel::try_new(b).unwrap_or_else(|_| Kernel::auto()),
+            None => Kernel::auto(),
         };
         if let Some(r) = metrics.recorder() {
             r.set_kernel_backend(kernel.backend().name());
@@ -768,7 +764,7 @@ impl<'s> Solver<'s> {
         self.set_phase(flsa_metrics::names::PHASE_BASE_CASE);
         let fill_start = self.recorder().map(Recorder::now_ns);
         let filled = match self.scheme.gap() {
-            GapModel::Affine { .. } => Filled::Affine(fill_affine_full(
+            GapModel::Affine { .. } => Filled::Affine(self.kernel.fill_affine_full(
                 a,
                 b,
                 AffineBoundary::from_layers(top, left),
@@ -836,7 +832,7 @@ impl<'s> Solver<'s> {
 
     /// Sequential fillGridCache: every block except the bottom-right one,
     /// in row-major order (a valid topological order of the block DAG),
-    /// on the linear kernel or the scalar affine edge fill.
+    /// on the kernel's linear or affine edge fill.
     fn fill_grid_sequential(
         &mut self,
         a: &[u8],
@@ -880,7 +876,7 @@ impl<'s> Solver<'s> {
                             self.metrics,
                         );
                     }
-                    GapModel::Affine { .. } => fill_affine_edges_into(
+                    GapModel::Affine { .. } => self.kernel.fill_affine_edges_into(
                         ba,
                         bb,
                         AffineBoundary::from_layers(&top_buf, &left_buf),

@@ -12,8 +12,11 @@
 //! For a *sub-rectangle*, restarting this recurrence needs more boundary
 //! state than the linear case: a horizontal grid line must carry `H` and
 //! `F` (vertical runs cross it), a vertical one `H` and `E`. These
-//! kernels are the affine analogues of [`crate::kernel`]'s, used by the
-//! FastLSA drive loop (`fastlsa-core`) when the gap model is affine.
+//! cell-at-a-time kernels are the affine analogues of
+//! [`crate::kernel`]'s: the scalar path behind
+//! [`crate::Kernel::fill_affine_edges_into`] and
+//! [`crate::Kernel::fill_affine_full`], and the reference their vector
+//! two-pass rows are tested against.
 
 use flsa_scoring::{GapModel, ScoringScheme};
 
@@ -68,7 +71,7 @@ impl<'a> AffineBoundary<'a> {
         }
     }
 
-    fn check_boundary(&self, rows: usize, cols: usize) {
+    pub(crate) fn check_boundary(&self, rows: usize, cols: usize) {
         assert_eq!(self.top_h.len(), cols + 1, "top_h length");
         assert_eq!(self.top_v.len(), cols + 1, "top_v length");
         assert_eq!(self.left_h.len(), rows + 1, "left_h length");

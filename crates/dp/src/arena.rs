@@ -124,7 +124,13 @@ impl KernelArena {
 
     /// Checks out a zero-filled `i32` buffer of exactly `len` elements.
     pub fn take(&self, len: usize) -> Vec<i32> {
-        take_from(&self.pool, len, &self.held, &self.fresh_allocs, &self.reuses)
+        take_from(
+            &self.pool,
+            len,
+            &self.held,
+            &self.fresh_allocs,
+            &self.reuses,
+        )
     }
 
     /// Returns an `i32` buffer to the pool for reuse.

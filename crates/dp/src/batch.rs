@@ -296,16 +296,17 @@ impl BatchKernel {
             gaps[l] = lp.gap as i16;
             let m = job.scheme.matrix();
             let storage = arena.take_i16(m.alphabet().len() * cols_pad);
-            profiles[l] = Some(QueryProfileI16::build_padded_in(m, job.b, cols_pad, storage));
+            profiles[l] = Some(QueryProfileI16::build_padded_in(
+                m, job.b, cols_pad, storage,
+            ));
         }
 
         let mut prev = arena.take_i16((cols_max + 1) * w);
         let mut cur = arena.take_i16((cols_max + 1) * w);
         let mut scores = arena.take_i16(cols_pad * w);
         let mut dirs = arena.take_u8(rows_max * cols_max * w);
-        let _mem = metrics.track_alloc(
-            dirs.len() + 2 * (prev.len() + cur.len() + scores.len() + zeros.len()),
-        );
+        let _mem = metrics
+            .track_alloc(dirs.len() + 2 * (prev.len() + cur.len() + scores.len() + zeros.len()));
         let mut minmax = vec![i16::MAX; 2 * w];
         minmax[w..].fill(i16::MIN);
         let mut final_scores = vec![0i16; w];
@@ -417,13 +418,17 @@ impl BatchKernel {
             BatchBackend::Sse41x8 => {
                 // SAFETY: every `BatchKernel` constructor admits Sse41x8
                 // only after `is_x86_feature_detected!("sse4.1")`.
-                unsafe { crate::simd::x86::batch_row_update_sse41(prev, cur, scores, gaps, dirs, minmax) }
+                unsafe {
+                    crate::simd::x86::batch_row_update_sse41(prev, cur, scores, gaps, dirs, minmax)
+                }
             }
             #[cfg(target_arch = "x86_64")]
             BatchBackend::Avx2x16 => {
                 // SAFETY: every `BatchKernel` constructor admits Avx2x16
                 // only after `is_x86_feature_detected!("avx2")`.
-                unsafe { crate::simd::x86::batch_row_update_avx2(prev, cur, scores, gaps, dirs, minmax) }
+                unsafe {
+                    crate::simd::x86::batch_row_update_avx2(prev, cur, scores, gaps, dirs, minmax)
+                }
             }
             #[cfg(not(target_arch = "x86_64"))]
             BatchBackend::Sse41x8 | BatchBackend::Avx2x16 => {

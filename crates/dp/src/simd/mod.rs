@@ -56,6 +56,7 @@ use std::sync::Arc;
 
 use flsa_scoring::{QueryProfile, ScoringScheme};
 
+use crate::affine::{self, affine_params, AffineBoundary, AffineMatrices, NEG};
 use crate::arena::KernelArena;
 use crate::boundary::check_boundary;
 use crate::kernel;
@@ -198,6 +199,75 @@ fn row_update_portable(prev: &[i32], cur: &mut [i32], profile: &[i32], gap: i32)
     }
 }
 
+/// Portable one-row update of the affine (Gotoh) recurrence in the
+/// two-pass form: per column, pass A's elementwise
+/// `F[j] = max(F↑[j] + ext, H↑[j] + open + ext)` and
+/// `T[j] = max(H↑[j−1] + prof[j−1], F[j])`, fused with pass B's
+/// *exclusive* prefix max `E[j] = ext·j + max(c₀, x[1..j−1])` over the
+/// u-domain values `x[k] = T[k] + open − ext·k`, `c₀ = max(E₀, H₀ + open)`;
+/// then `H[j] = max(T[j], E[j])`. Exact whenever `open ≤ 0` (DESIGN.md
+/// §11), so it matches [`crate::affine`]'s cell-at-a-time loop and every
+/// vector kernel in [`x86`] bit for bit.
+///
+/// Contract: `prev.len() == cur.len() == f.len() == profile.len() + 1`
+/// (and `e_row`'s, when given). `prev` is the `H` row above; `cur[0]`
+/// holds `H₀`, the row's left-boundary `H`, on entry; `f` holds the `F`
+/// row above on entry and this row's `F` on exit (`f[0]` is untouched);
+/// `e_row`, when given, receives `E[1..=cols]`. `e0` is the left-boundary
+/// `E₀` and `gaps` is `(open, extend)`. Returns `E[cols]` (`e0` when the
+/// row is empty).
+fn affine_row_update_portable(
+    prev: &[i32],
+    cur: &mut [i32],
+    f: &mut [i32],
+    e_row: Option<&mut [i32]>,
+    profile: &[i32],
+    e0: i32,
+    gaps: (i32, i32),
+) -> i32 {
+    let cols = profile.len();
+    assert_eq!(prev.len(), cols + 1, "prev row length");
+    assert_eq!(cur.len(), cols + 1, "cur row length");
+    assert_eq!(f.len(), cols + 1, "F row length");
+    assert!(
+        e_row.as_ref().is_none_or(|e| e.len() == cols + 1),
+        "E row length"
+    );
+    let c0 = e0.max(cur[0] + gaps.0);
+    affine_row_tail(prev, cur, f, e_row, profile, gaps, 1, c0, e0)
+}
+
+/// Columns `j..=cols` of [`affine_row_update_portable`], resuming from
+/// the u-domain carry `carry = max(c₀, x[1..j−1])`. Returns `E[cols]`, or
+/// `e_last` (the caller's `E[j−1]`) when the range is empty. The vector
+/// kernels finish their odd tails here.
+#[allow(clippy::too_many_arguments)] // a row kernel's operands plus its resume state
+fn affine_row_tail(
+    prev: &[i32],
+    cur: &mut [i32],
+    f: &mut [i32],
+    mut e_row: Option<&mut [i32]>,
+    profile: &[i32],
+    (open, ext): (i32, i32),
+    start: usize,
+    mut carry: i32,
+    mut e_last: i32,
+) -> i32 {
+    for j in start..=profile.len() {
+        let fv = (f[j] + ext).max(prev[j] + open + ext);
+        f[j] = fv;
+        let t = (prev[j - 1] + profile[j - 1]).max(fv);
+        let e = carry + j as i32 * ext;
+        cur[j] = t.max(e);
+        if let Some(ref mut er) = e_row {
+            er[j] = e;
+        }
+        carry = carry.max(t + open - j as i32 * ext);
+        e_last = e;
+    }
+    e_last
+}
+
 /// A requested backend the current CPU cannot run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedBackend {
@@ -315,6 +385,163 @@ impl Kernel {
                 row_update_portable(prev, cur, profile, gap)
             }
         }
+    }
+
+    /// Dispatches one affine row update to the active backend (contract
+    /// of [`affine_row_update_portable`]).
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+    fn affine_row_update(
+        &self,
+        prev: &[i32],
+        cur: &mut [i32],
+        f: &mut [i32],
+        e_row: Option<&mut [i32]>,
+        profile: &[i32],
+        e0: i32,
+        gaps: (i32, i32),
+    ) -> i32 {
+        match self.backend {
+            KernelBackend::Scalar => {
+                affine_row_update_portable(prev, cur, f, e_row, profile, e0, gaps)
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Sse41 => {
+                // SAFETY: `try_new` admits Sse41 only after
+                // `is_x86_feature_detected!("sse4.1")` returned true.
+                unsafe { x86::affine_row_update_sse41(prev, cur, f, e_row, profile, e0, gaps) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx2 => {
+                // SAFETY: `try_new` admits Avx2 only after
+                // `is_x86_feature_detected!("avx2")` returned true.
+                unsafe { x86::affine_row_update_avx2(prev, cur, f, e_row, profile, e0, gaps) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx512 => {
+                // SAFETY: `try_new` admits Avx512 only after
+                // `is_x86_feature_detected!("avx512f")` returned true.
+                unsafe { x86::affine_row_update_avx512(prev, cur, f, e_row, profile, e0, gaps) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelBackend::Sse41 | KernelBackend::Avx2 | KernelBackend::Avx512 => {
+                // `try_new` rejects these off x86-64, so this arm never
+                // runs; the portable kernel keeps it correct regardless.
+                affine_row_update_portable(prev, cur, f, e_row, profile, e0, gaps)
+            }
+        }
+    }
+
+    /// The affine gap parameters when the two-pass row kernel applies:
+    /// a vector backend, a wide enough rectangle, and `open ≤ 0 &&
+    /// extend ≤ 0`, the range in which the reformulation is exact.
+    /// `GapModel::affine` enforces that range, but the variant's fields
+    /// are public, so a hand-built scheme outside it takes the scalar
+    /// loop instead.
+    fn vectorize_affine(
+        &self,
+        scheme: &ScoringScheme,
+        rows: usize,
+        cols: usize,
+    ) -> Option<(i32, i32)> {
+        let (open, extend) = affine_params(scheme);
+        (self.vectorize(rows, cols) && open <= 0 && extend <= 0).then_some((open, extend))
+    }
+
+    /// [`crate::affine::fill_affine_edges_into`] on the active backend.
+    #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+    pub fn fill_affine_edges_into(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        bnd: AffineBoundary<'_>,
+        scheme: &ScoringScheme,
+        bottom: &mut [i32],
+        right: &mut [i32],
+        metrics: &Metrics,
+    ) {
+        let (rows, cols) = (a.len(), b.len());
+        let Some(gaps) = self.vectorize_affine(scheme, rows, cols) else {
+            return affine::fill_affine_edges_into(a, b, bnd, scheme, bottom, right, metrics);
+        };
+        bnd.check_boundary(rows, cols);
+        assert_eq!(bottom.len(), 2 * (cols + 1), "bottom edge length");
+        assert_eq!(right.len(), 2 * (rows + 1), "right edge length");
+        let profile = self.take_profile(scheme, b);
+        let (bottom_h, f) = bottom.split_at_mut(cols + 1);
+        let (right_h, right_e) = right.split_at_mut(rows + 1);
+        f.copy_from_slice(bnd.top_v);
+        right_h[0] = bnd.top_h[cols];
+        right_e[0] = NEG;
+        let mut prev = self.arena.take(cols + 1);
+        let mut cur = self.arena.take(cols + 1);
+        prev.copy_from_slice(bnd.top_h);
+        for i in 1..=rows {
+            cur[0] = bnd.left_h[i];
+            right_e[i] = self.affine_row_update(
+                &prev,
+                &mut cur,
+                f,
+                None,
+                profile.row(a[i - 1]),
+                bnd.left_e[i],
+                gaps,
+            );
+            right_h[i] = cur[cols];
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        bottom_h.copy_from_slice(&prev);
+        self.arena.put(prev);
+        self.arena.put(cur);
+        self.put_profile(profile);
+        metrics.add_cells(rows as u64 * cols as u64);
+    }
+
+    /// [`crate::affine::fill_affine_full`] on the active backend: all
+    /// three layers, `E` included for the traceback, reusing `storage`.
+    pub fn fill_affine_full(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        bnd: AffineBoundary<'_>,
+        scheme: &ScoringScheme,
+        storage: [Vec<i32>; 3],
+        metrics: &Metrics,
+    ) -> AffineMatrices {
+        let (rows, cols) = (a.len(), b.len());
+        let Some(gaps) = self.vectorize_affine(scheme, rows, cols) else {
+            return affine::fill_affine_full(a, b, bnd, scheme, storage, metrics);
+        };
+        bnd.check_boundary(rows, cols);
+        let profile = self.take_profile(scheme, b);
+        let [h, e, f] = storage;
+        let mut h = ScoreMatrix::from_storage(rows, cols, h);
+        let mut e = ScoreMatrix::from_storage(rows, cols, e);
+        let mut f = ScoreMatrix::from_storage(rows, cols, f);
+        h.row_mut(0).copy_from_slice(bnd.top_h);
+        f.row_mut(0).copy_from_slice(bnd.top_v);
+        e.row_mut(0).fill(NEG);
+        for i in 1..=rows {
+            let (f_up, f_cur) = f.rows_prev_cur(i);
+            f_cur.copy_from_slice(f_up);
+            f_cur[0] = NEG;
+            let e_cur = e.row_mut(i);
+            e_cur[0] = bnd.left_e[i];
+            let (prev, cur) = h.rows_prev_cur(i);
+            cur[0] = bnd.left_h[i];
+            self.affine_row_update(
+                prev,
+                cur,
+                f_cur,
+                Some(e_cur),
+                profile.row(a[i - 1]),
+                bnd.left_e[i],
+                gaps,
+            );
+        }
+        self.put_profile(profile);
+        metrics.add_cells(rows as u64 * cols as u64);
+        AffineMatrices { h, e, f }
     }
 
     /// Builds the query profile for `b` in arena-backed storage, sized
@@ -681,6 +908,59 @@ mod tests {
         );
         assert_eq!(k.arena().held_bytes(), held);
         assert!(k.arena().reuses() >= 150, "three buffers per fill reused");
+    }
+
+    #[test]
+    fn affine_row_kernels_match_the_gotoh_row_loop() {
+        // Every row kernel, the portable one included (it runs whole rows
+        // only off x86-64), against one cell-at-a-time Gotoh row.
+        let mut rng = Rng(0x90_70a1);
+        for case in 0..300 {
+            let cols = rng.below(70);
+            let open = -(rng.below(15) as i32);
+            let ext = -(rng.below(5) as i32);
+            let val = |rng: &mut Rng| rng.below(400) as i32 - 200;
+            let prev: Vec<i32> = (0..=cols).map(|_| val(&mut rng)).collect();
+            let f_up: Vec<i32> = (0..=cols).map(|_| val(&mut rng)).collect();
+            let profile: Vec<i32> = (0..cols).map(|_| rng.below(20) as i32 - 8).collect();
+            let (h0, e0) = (val(&mut rng), val(&mut rng));
+
+            let mut want_h = vec![h0; cols + 1];
+            let mut want_e = vec![0; cols + 1];
+            let mut want_f = f_up.clone();
+            let mut e = e0;
+            for j in 1..=cols {
+                want_f[j] = (f_up[j] + ext).max(prev[j] + open + ext);
+                e = (e + ext).max(want_h[j - 1] + open + ext);
+                want_e[j] = e;
+                want_h[j] = (prev[j - 1] + profile[j - 1]).max(want_f[j]).max(e);
+            }
+
+            let portable = Kernel::scalar();
+            for k in std::iter::once(portable).chain(
+                non_scalar_backends()
+                    .into_iter()
+                    .map(|b| Kernel::try_new(b).expect("available backend")),
+            ) {
+                let mut cur = vec![h0; cols + 1];
+                let mut f = f_up.clone();
+                let mut e_row = vec![0; cols + 1];
+                let last = k.affine_row_update(
+                    &prev,
+                    &mut cur,
+                    &mut f,
+                    Some(&mut e_row),
+                    &profile,
+                    e0,
+                    (open, ext),
+                );
+                let name = k.backend();
+                assert_eq!(cur, want_h, "case {case} {name} H");
+                assert_eq!(f, want_f, "case {case} {name} F");
+                assert_eq!(e_row[1..], want_e[1..], "case {case} {name} E");
+                assert_eq!(last, e, "case {case} {name} E[cols]");
+            }
+        }
     }
 
     #[test]

@@ -504,3 +504,264 @@ pub(crate) unsafe fn row_update_sse41(prev: &[i32], cur: &mut [i32], profile: &[
         j += 1;
     }
 }
+
+// ---------------------------------------------------------------------
+// Affine (Gotoh) two-pass row kernels.
+//
+// Vector versions of `super::affine_row_update_portable`, one vector
+// block per step: pass A computes `F` and `T = max(diag, F)` lane-wise,
+// pass B turns `x = T + open − ext·k` into an inclusive prefix max with
+// the same log-step shifts as the linear kernels, then shifts it one
+// lane (filling lane 0 with the carry) to get the *exclusive* prefix
+// that `E` needs. The odd tail runs in `super::affine_row_tail`.
+// ---------------------------------------------------------------------
+
+/// SSE4.1 version of [`super::affine_row_update_portable`]: identical
+/// contract, identical results, four columns per vector.
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!("sse4.1")`;
+/// the dispatch layer does this once at `Kernel` construction.
+#[target_feature(enable = "sse4.1")]
+pub(crate) unsafe fn affine_row_update_sse41(
+    prev: &[i32],
+    cur: &mut [i32],
+    f: &mut [i32],
+    mut e_row: Option<&mut [i32]>,
+    profile: &[i32],
+    e0: i32,
+    (open, ext): (i32, i32),
+) -> i32 {
+    // Release-mode guards: the vector loop below reads and writes through
+    // raw pointers, so an out-of-bounds row is UB, not a panic.
+    let cols = profile.len();
+    assert_eq!(prev.len(), cols + 1, "prev row length");
+    assert_eq!(cur.len(), cols + 1, "cur row length");
+    assert_eq!(f.len(), cols + 1, "F row length");
+    assert!(
+        e_row.as_ref().is_none_or(|e| e.len() == cols + 1),
+        "E row length"
+    );
+    let mut carry = e0.max(cur[0] + open);
+    let mut e_last = e0;
+    let mut j = 1usize;
+    if j + 4 <= cols + 1 {
+        let extv = _mm_set1_epi32(ext);
+        let openv = _mm_set1_epi32(open);
+        let open_ext = _mm_set1_epi32(open.wrapping_add(ext));
+        let minv = _mm_set1_epi32(i32::MIN);
+        let step = _mm_set1_epi32(ext.wrapping_mul(4));
+        // ramp lanes hold (j+l)*ext for the block's four columns.
+        let mut r = [0i32; 4];
+        for (l, slot) in r.iter_mut().enumerate() {
+            *slot = (l as i32 + 1).wrapping_mul(ext);
+        }
+        let mut ramp = _mm_loadu_si128(r.as_ptr() as *const __m128i);
+        let mut carryv = _mm_set1_epi32(carry);
+        let mut ev = _mm_setzero_si128();
+        let e_ptr = e_row.as_deref_mut().map(|e| e.as_mut_ptr());
+        while j + 4 <= cols + 1 {
+            let up = _mm_loadu_si128(prev.as_ptr().add(j) as *const __m128i);
+            let fp = f.as_mut_ptr().add(j) as *mut __m128i;
+            let fv = _mm_max_epi32(
+                _mm_add_epi32(_mm_loadu_si128(fp), extv),
+                _mm_add_epi32(up, open_ext),
+            );
+            _mm_storeu_si128(fp, fv);
+            let diag = _mm_add_epi32(
+                _mm_loadu_si128(prev.as_ptr().add(j - 1) as *const __m128i),
+                _mm_loadu_si128(profile.as_ptr().add(j - 1) as *const __m128i),
+            );
+            let t = _mm_max_epi32(diag, fv);
+            let x = _mm_sub_epi32(_mm_add_epi32(t, openv), ramp);
+            let m1 = _mm_max_epi32(x, _mm_alignr_epi8::<12>(x, minv));
+            let m2 = _mm_max_epi32(m1, _mm_alignr_epi8::<8>(m1, minv));
+            let m = _mm_max_epi32(m2, carryv);
+            // Exclusive prefix: lane l takes m's lane l−1, lane 0 the carry.
+            ev = _mm_add_epi32(_mm_alignr_epi8::<12>(m, carryv), ramp);
+            _mm_storeu_si128(
+                cur.as_mut_ptr().add(j) as *mut __m128i,
+                _mm_max_epi32(t, ev),
+            );
+            if let Some(p) = e_ptr {
+                _mm_storeu_si128(p.add(j) as *mut __m128i, ev);
+            }
+            carryv = _mm_shuffle_epi32::<0xFF>(m);
+            ramp = _mm_add_epi32(ramp, step);
+            j += 4;
+        }
+        carry = _mm_extract_epi32::<3>(carryv);
+        e_last = _mm_extract_epi32::<3>(ev);
+    }
+    super::affine_row_tail(prev, cur, f, e_row, profile, (open, ext), j, carry, e_last)
+}
+
+/// AVX2 version of [`super::affine_row_update_portable`]: identical
+/// contract, identical results, eight columns per vector.
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!("avx2")`; the
+/// dispatch layer does this once at `Kernel` construction.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn affine_row_update_avx2(
+    prev: &[i32],
+    cur: &mut [i32],
+    f: &mut [i32],
+    mut e_row: Option<&mut [i32]>,
+    profile: &[i32],
+    e0: i32,
+    (open, ext): (i32, i32),
+) -> i32 {
+    // Release-mode guards: the vector loop below reads and writes through
+    // raw pointers, so an out-of-bounds row is UB, not a panic.
+    let cols = profile.len();
+    assert_eq!(prev.len(), cols + 1, "prev row length");
+    assert_eq!(cur.len(), cols + 1, "cur row length");
+    assert_eq!(f.len(), cols + 1, "F row length");
+    assert!(
+        e_row.as_ref().is_none_or(|e| e.len() == cols + 1),
+        "E row length"
+    );
+    let mut carry = e0.max(cur[0] + open);
+    let mut e_last = e0;
+    let mut j = 1usize;
+    if j + 8 <= cols + 1 {
+        let extv = _mm256_set1_epi32(ext);
+        let openv = _mm256_set1_epi32(open);
+        let open_ext = _mm256_set1_epi32(open.wrapping_add(ext));
+        let minv = _mm256_set1_epi32(i32::MIN);
+        let step = _mm256_set1_epi32(ext.wrapping_mul(8));
+        let top_lane = _mm256_set1_epi32(7);
+        // ramp lanes hold (j+l)*ext for the block's eight columns.
+        let mut r = [0i32; 8];
+        for (l, slot) in r.iter_mut().enumerate() {
+            *slot = (l as i32 + 1).wrapping_mul(ext);
+        }
+        let mut ramp = _mm256_loadu_si256(r.as_ptr() as *const __m256i);
+        let mut carryv = _mm256_set1_epi32(carry);
+        let mut ev = _mm256_setzero_si256();
+        let e_ptr = e_row.as_deref_mut().map(|e| e.as_mut_ptr());
+        while j + 8 <= cols + 1 {
+            let up = _mm256_loadu_si256(prev.as_ptr().add(j) as *const __m256i);
+            let fp = f.as_mut_ptr().add(j) as *mut __m256i;
+            let fv = _mm256_max_epi32(
+                _mm256_add_epi32(_mm256_loadu_si256(fp), extv),
+                _mm256_add_epi32(up, open_ext),
+            );
+            _mm256_storeu_si256(fp, fv);
+            let diag = _mm256_add_epi32(
+                _mm256_loadu_si256(prev.as_ptr().add(j - 1) as *const __m256i),
+                _mm256_loadu_si256(profile.as_ptr().add(j - 1) as *const __m256i),
+            );
+            let t = _mm256_max_epi32(diag, fv);
+            let x = _mm256_sub_epi32(_mm256_add_epi32(t, openv), ramp);
+            let m1 = _mm256_max_epi32(x, shl1_avx2(x, minv));
+            let m2 = _mm256_max_epi32(m1, shl2_avx2(m1, minv));
+            let m4 = _mm256_max_epi32(m2, shl4_avx2(m2, minv));
+            let m = _mm256_max_epi32(m4, carryv);
+            // Exclusive prefix: lane l takes m's lane l−1, lane 0 the carry.
+            ev = _mm256_add_epi32(shl1_avx2(m, carryv), ramp);
+            _mm256_storeu_si256(
+                cur.as_mut_ptr().add(j) as *mut __m256i,
+                _mm256_max_epi32(t, ev),
+            );
+            if let Some(p) = e_ptr {
+                _mm256_storeu_si256(p.add(j) as *mut __m256i, ev);
+            }
+            carryv = _mm256_permutevar8x32_epi32(m, top_lane);
+            ramp = _mm256_add_epi32(ramp, step);
+            j += 8;
+        }
+        carry = _mm256_extract_epi32::<7>(carryv);
+        e_last = _mm256_extract_epi32::<7>(ev);
+    }
+    super::affine_row_tail(prev, cur, f, e_row, profile, (open, ext), j, carry, e_last)
+}
+
+/// AVX-512F version of [`super::affine_row_update_portable`]: identical
+/// contract, identical results, sixteen columns per vector. Shifts and
+/// the carry broadcast work as in [`row_update_avx512`]; the exclusive
+/// shift is `_mm512_alignr_epi32::<15>(m, carry)`.
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!("avx512f")`;
+/// the dispatch layer does this once at `Kernel` construction.
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn affine_row_update_avx512(
+    prev: &[i32],
+    cur: &mut [i32],
+    f: &mut [i32],
+    mut e_row: Option<&mut [i32]>,
+    profile: &[i32],
+    e0: i32,
+    (open, ext): (i32, i32),
+) -> i32 {
+    // Release-mode guards: the vector loop below reads and writes through
+    // raw pointers, so an out-of-bounds row is UB, not a panic.
+    let cols = profile.len();
+    assert_eq!(prev.len(), cols + 1, "prev row length");
+    assert_eq!(cur.len(), cols + 1, "cur row length");
+    assert_eq!(f.len(), cols + 1, "F row length");
+    assert!(
+        e_row.as_ref().is_none_or(|e| e.len() == cols + 1),
+        "E row length"
+    );
+    let mut carry = e0.max(cur[0] + open);
+    let mut e_last = e0;
+    let mut j = 1usize;
+    if j + 16 <= cols + 1 {
+        let extv = _mm512_set1_epi32(ext);
+        let openv = _mm512_set1_epi32(open);
+        let open_ext = _mm512_set1_epi32(open.wrapping_add(ext));
+        let minv = _mm512_set1_epi32(i32::MIN);
+        let step = _mm512_set1_epi32(ext.wrapping_mul(16));
+        let top_lane = _mm512_set1_epi32(15);
+        // ramp lanes hold (j+l)*ext for the block's sixteen columns.
+        let mut r = [0i32; 16];
+        for (l, slot) in r.iter_mut().enumerate() {
+            *slot = (l as i32 + 1).wrapping_mul(ext);
+        }
+        let mut ramp = _mm512_loadu_si512(r.as_ptr() as *const __m512i);
+        let mut carryv = _mm512_set1_epi32(carry);
+        let mut ev = _mm512_setzero_si512();
+        let e_ptr = e_row.as_deref_mut().map(|e| e.as_mut_ptr());
+        while j + 16 <= cols + 1 {
+            let up = _mm512_loadu_si512(prev.as_ptr().add(j) as *const __m512i);
+            let fp = f.as_mut_ptr().add(j) as *mut __m512i;
+            let fv = _mm512_max_epi32(
+                _mm512_add_epi32(_mm512_loadu_si512(fp), extv),
+                _mm512_add_epi32(up, open_ext),
+            );
+            _mm512_storeu_si512(fp, fv);
+            let diag = _mm512_add_epi32(
+                _mm512_loadu_si512(prev.as_ptr().add(j - 1) as *const __m512i),
+                _mm512_loadu_si512(profile.as_ptr().add(j - 1) as *const __m512i),
+            );
+            let t = _mm512_max_epi32(diag, fv);
+            let x = _mm512_sub_epi32(_mm512_add_epi32(t, openv), ramp);
+            let m1 = _mm512_max_epi32(x, _mm512_alignr_epi32::<15>(x, minv));
+            let m2 = _mm512_max_epi32(m1, _mm512_alignr_epi32::<14>(m1, minv));
+            let m4 = _mm512_max_epi32(m2, _mm512_alignr_epi32::<12>(m2, minv));
+            let m8 = _mm512_max_epi32(m4, _mm512_alignr_epi32::<8>(m4, minv));
+            let m = _mm512_max_epi32(m8, carryv);
+            // Exclusive prefix: lane l takes m's lane l−1, lane 0 the carry.
+            ev = _mm512_add_epi32(_mm512_alignr_epi32::<15>(m, carryv), ramp);
+            _mm512_storeu_si512(
+                cur.as_mut_ptr().add(j) as *mut __m512i,
+                _mm512_max_epi32(t, ev),
+            );
+            if let Some(p) = e_ptr {
+                _mm512_storeu_si512(p.add(j) as *mut __m512i, ev);
+            }
+            carryv = _mm512_permutexvar_epi32(top_lane, m);
+            ramp = _mm512_add_epi32(ramp, step);
+            j += 16;
+        }
+        carry = _mm512_cvtsi512_si32(carryv);
+        e_last = _mm512_cvtsi512_si32(_mm512_permutexvar_epi32(top_lane, ev));
+    }
+    super::affine_row_tail(prev, cur, f, e_row, profile, (open, ext), j, carry, e_last)
+}

@@ -754,7 +754,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut group = vec![job];
         if shared.batch_max > 1 && shared.hooks.is_none() && batch_eligible(shared, &group[0]) {
             while group.len() < shared.batch_max {
-                let Some(j) = shared.queue.try_pop() else { break };
+                let Some(j) = shared.queue.try_pop() else {
+                    break;
+                };
                 shared.metrics.queue_depth_add(-1);
                 let eligible = batch_eligible(shared, &j);
                 group.push(j);
