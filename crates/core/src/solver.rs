@@ -1,12 +1,17 @@
 //! The FastLSA recursion (paper Figure 2), run as an explicit stack
 //! machine.
 //!
-//! Invariant maintained by the drive loop: the path head enters a
-//! sub-problem on its **bottom row or right column** and leaves on its
-//! **top row or left column**. The paper's prose puts the initial head at
-//! the bottom-right corner; after the first sub-recursion the head sits
-//! anywhere on the next block's bottom/right edge, so the implementation
-//! uses the general invariant throughout (DESIGN.md §6).
+//! Invariant maintained by the drive loop: the path head enters every
+//! sub-problem at its **bottom-right corner** and leaves on its **top row
+//! or left column**, as in the paper's prose. After a sub-recursion the
+//! head sits somewhere on the next grid block's bottom row or right
+//! column; the child frame is the rectangle from that block's top-left
+//! corner to the head, not the whole block. This is exact: a cell
+//! `(i', j')` with `i' ≤ i`, `j' ≤ j` depends only on the top boundary up
+//! to `j` and the left boundary up to `i` (in every affine layer too),
+//! and the traceback is a pure function of cell values, so the path is
+//! the same while the part of the block the path never enters is never
+//! filled (DESIGN.md §6).
 //!
 //! One loop serves both gap models. What differs is what a grid line
 //! stores (one i32 layer for linear gaps, `H` plus the gap state crossing
@@ -453,31 +458,32 @@ impl<'s> Solver<'s> {
             }
 
             // 2. Filled grid: descend into the block containing the head
-            //    (Figure 2 lines 8-13).
+            //    (Figure 2 lines 8-13), cut down to the rectangle from the
+            //    block's top-left corner to the head. Cells up to the head
+            //    depend only on the boundary up to it, so the cut is exact
+            //    and skips the part of the block the path never enters.
             if let Some(grid) = &f.grid {
                 let (i, j) = f.head;
                 let s = segment_of(&grid.row_bounds, i);
                 let t = segment_of(&grid.col_bounds, j);
                 let r0 = grid.row_bounds[s];
-                let r1 = grid.row_bounds[s + 1];
                 let c0 = grid.col_bounds[t];
-                let c1 = grid.col_bounds[t + 1];
                 let layers = self.line_layers();
                 let child = Frame {
                     r0: f.r0 + r0,
                     c0: f.c0 + c0,
-                    rows: r1 - r0,
-                    cols: c1 - c0,
-                    top: sub_line(grid.row_line(s).unwrap_or(&f.top), layers, c0, c1),
-                    left: sub_line(grid.col_line(t).unwrap_or(&f.left), layers, r0, r1),
+                    rows: i - r0,
+                    cols: j - c0,
+                    top: sub_line(grid.row_line(s).unwrap_or(&f.top), layers, c0, j),
+                    left: sub_line(grid.col_line(t).unwrap_or(&f.left), layers, r0, i),
                     head: (i - r0, j - c0),
                     state: f.state,
                     grid: None,
                     grid_guard: None,
                 };
                 debug_assert!(
-                    child.head.0 == child.rows || child.head.1 == child.cols,
-                    "path head must enter on the bottom row or right column"
+                    child.head == (child.rows, child.cols),
+                    "path head must enter at the bottom-right corner"
                 );
                 self.frames.push(child);
                 continue;

